@@ -315,7 +315,6 @@ const SINKS: &[(&str, &str)] = &[
     ("Table", "scan_all"),
     ("RecordBatch", "gather"),
     ("VnlTable", "find_physical"),
-    ("ByteScanner", "classify"),
     ("BatchScanner", "classify_batch"),
     ("*", "decode_visible"),
     ("*", "decode_planned"),

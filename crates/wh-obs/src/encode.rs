@@ -94,7 +94,7 @@ fn hist_json(h: &HistogramSnapshot, sample_rate: u64) -> String {
 impl Snapshot {
     /// Encode the snapshot as a single JSON object: counters and gauges as
     /// flat maps, histograms with summary stats plus nonzero
-    /// `[upper_bound, count]` bucket pairs, spans as an array.
+    /// `[upper_bound, count]` bucket pairs.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
@@ -137,31 +137,14 @@ impl Snapshot {
                 hist_json(h, self.sample_rates.get(name).copied().unwrap_or(1))
             ));
         }
-        out.push_str("\n  },\n");
-
-        out.push_str("  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"thread\": {}, \"depth\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"seq\": {}}}",
-                json_escape(s.name),
-                s.thread,
-                s.depth,
-                s.start_ns,
-                s.dur_ns,
-                s.seq
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 
     /// Encode the snapshot in the Prometheus text exposition format:
     /// counters as `<name>_total`, gauges as `<name>` plus `<name>_max`,
     /// histograms as cumulative `_bucket{le=...}` series with `_sum` and
-    /// `_count`. Spans are not exported (they are events, not series).
+    /// `_count`.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for (name, v) in &self.counters {
@@ -235,7 +218,7 @@ mod tests {
         let snap = Snapshot::default();
         let json = snap.to_json();
         assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"spans\""));
+        assert!(json.contains("\"histograms\""));
         assert!(snap.to_prometheus().is_empty());
     }
 

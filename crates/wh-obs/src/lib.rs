@@ -13,8 +13,7 @@
 //! 1. **Lock-free hot path.** Counters, gauges, and histogram recording are
 //!    single relaxed atomic RMWs. The only lock in the crate guards the
 //!    registry's name→metric maps (touched once per call site, cached in a
-//!    `OnceLock` by the [`counter!`]/[`gauge!`]/[`histogram!`] macros) and
-//!    the span ring slots (one tiny uncontended mutex per slot).
+//!    `OnceLock` by the [`counter!`]/[`gauge!`]/[`histogram!`] macros).
 //! 2. **Zero cost when disabled.** Without the `enabled` cargo feature every
 //!    recording method compiles to an empty `#[inline]` body — no atomics,
 //!    no clock reads — and [`Timer::start`] doesn't read the clock. The CI
@@ -38,7 +37,6 @@ pub mod recorder;
 pub mod registry;
 pub mod server;
 pub mod slo;
-pub mod span;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
@@ -47,7 +45,6 @@ pub use recorder::DumpInfo;
 pub use registry::{counter, gauge, histogram, Registry, Snapshot};
 pub use server::IntrospectionServer;
 pub use slo::SlidingWindow;
-pub use span::{span, SpanGuard, SpanRecord};
 pub use trace::{EventKind, TraceCtx, TraceEvent, TraceGuard};
 
 /// A monotonic stopwatch that is free when observability is disabled: the

@@ -12,23 +12,19 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::metric::{Counter, Gauge};
-use crate::span::{SpanRecord, SpanRing, RING_CAPACITY};
 
-/// The global registry: three name→metric maps plus the span ring.
+/// The global registry: three name→metric maps.
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
     /// Declared sampling rate for histograms fed 1-in-N (absent = exact).
     sample_rates: Mutex<BTreeMap<&'static str, u64>>,
-    spans: SpanRing,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("spans", &self.spans)
-            .finish_non_exhaustive()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
@@ -44,7 +40,6 @@ pub fn global() -> &'static Registry {
         gauges: Mutex::new(BTreeMap::new()),
         histograms: Mutex::new(BTreeMap::new()),
         sample_rates: Mutex::new(BTreeMap::new()),
-        spans: SpanRing::with_capacity(RING_CAPACITY),
     })
 }
 
@@ -99,13 +94,7 @@ pub fn sampled_histogram(name: &str, rate: u64) -> &'static Histogram {
 }
 
 impl Registry {
-    /// The global span ring.
-    pub fn spans(&self) -> &SpanRing {
-        &self.spans
-    }
-
-    /// Freeze every registered metric (and the retained spans) into an
-    /// immutable [`Snapshot`].
+    /// Freeze every registered metric into an immutable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         static SNAPSHOT_SEQ: AtomicU64 = AtomicU64::new(0);
         Snapshot {
@@ -126,13 +115,12 @@ impl Registry {
                 .iter()
                 .map(|(&k, &v)| (k, v))
                 .collect(),
-            spans: self.spans.drain_ordered(),
         }
     }
 
-    /// Zero every registered metric and clear the span ring. Intended for
-    /// report bins that measure phases in isolation; concurrent tests
-    /// should prefer [`Snapshot::since`] deltas.
+    /// Zero every registered metric. Intended for report bins that measure
+    /// phases in isolation; concurrent tests should prefer
+    /// [`Snapshot::since`] deltas.
     pub fn reset(&self) {
         for c in lock(&self.counters).values() {
             c.reset();
@@ -143,7 +131,6 @@ impl Registry {
         for h in lock(&self.histograms).values() {
             h.reset();
         }
-        self.spans.reset();
     }
 }
 
@@ -162,8 +149,6 @@ pub struct Snapshot {
     pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
     /// Declared 1-in-N sampling rate per histogram name (absent = exact).
     pub sample_rates: BTreeMap<&'static str, u64>,
-    /// Retained spans, oldest first.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl Snapshot {
@@ -192,8 +177,7 @@ impl Snapshot {
 
     /// Activity since `older` was taken: counters and histogram buckets
     /// subtract saturating (mirroring `IoSnapshot::since`); gauges are
-    /// instantaneous so the newer value is kept as-is; spans are the
-    /// newer snapshot's spans with seq beyond the older snapshot's last.
+    /// instantaneous so the newer value is kept as-is.
     pub fn since(&self, older: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -205,20 +189,12 @@ impl Snapshot {
             .iter()
             .map(|(&k, v)| (k, v.since(&older.histogram(k))))
             .collect();
-        let last_old_seq = older.spans.last().map(|s| s.seq);
-        let spans = self
-            .spans
-            .iter()
-            .filter(|s| last_old_seq.is_none_or(|old| s.seq > old))
-            .copied()
-            .collect();
         Snapshot {
             seq: self.seq,
             counters,
             gauges: self.gauges.clone(),
             histograms,
             sample_rates: self.sample_rates.clone(),
-            spans,
         }
     }
 }

@@ -75,7 +75,7 @@ impl SlidingWindow {
     pub fn record(&self, value: u64) {
         #[cfg(feature = "enabled")]
         {
-            let sec = crate::span::process_epoch_ns() / 1_000_000_000;
+            let sec = crate::trace::process_epoch_ns() / 1_000_000_000;
             let b = &self.buckets[(sec % WINDOW_BUCKETS as u64) as usize];
             let cur = b.second.load(Ordering::Acquire); // ordering: slo-bucket Acquire — pairs with the CAS below so a reclaimed bucket's zeroed accumulators are seen before new adds land
             if cur != sec {
@@ -106,7 +106,7 @@ impl SlidingWindow {
     pub fn totals(&self, window_secs: u64) -> (u64, u64) {
         #[cfg(feature = "enabled")]
         {
-            let now = crate::span::process_epoch_ns() / 1_000_000_000;
+            let now = crate::trace::process_epoch_ns() / 1_000_000_000;
             let window = window_secs.clamp(1, WINDOW_BUCKETS as u64 - 1);
             let oldest = now.saturating_sub(window - 1);
             let mut count = 0u64;

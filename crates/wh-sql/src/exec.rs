@@ -1,18 +1,18 @@
 //! Query execution: scan → filter → group/aggregate → project → sort.
 //!
-//! Scans are **streaming**: the executor pulls rows through
-//! [`RowSource::for_each`] and applies the WHERE predicate inside the
-//! visitor, so rows that don't survive the filter are never buffered. A
+//! Every SELECT is one **streaming fold**: the executor pulls rows through
+//! [`RowSource::for_each`] and, inside the visitor, applies WHERE, then
+//! either projects the row (plain queries) or folds it into one
+//! accumulator per aggregate call site of its group — so no input row is
+//! ever buffered, and an aggregate query holds only its groups. A
 //! [`ParallelRowSource`] additionally supports partitioned scans;
-//! [`execute_select_parallel`] uses them to evaluate filters and projections
-//! on worker threads and to compute GROUP BY aggregates as per-worker
-//! partial maps merged at the end.
+//! [`execute_select_parallel`] runs the same fold with one partition state
+//! per worker and merges the partitions at the end.
 
 use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{EvalContext, Params};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use wh_index::IndexKey;
 use wh_storage::{StorageError, Table};
@@ -95,33 +95,6 @@ impl RowSource for Table {
     }
 }
 
-impl ParallelRowSource for Table {
-    fn for_each_parallel(
-        &self,
-        threads: usize,
-        visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()> {
-        let stash: Mutex<Option<SqlError>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
-        let res = self.scan_parallel(threads, |worker, _, row| {
-            if let Err(e) = visit(worker, row) {
-                let mut slot = lock_state(&stash);
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                failed.store(true, Ordering::Release); // ordering: scan-abort Release — publishes the stashed error before the flag its reader Acquires
-            }
-            // ordering: scan-abort Acquire — pairs with the workers' Release store publishing the stashed error
-            if failed.load(Ordering::Acquire) {
-                Err(StorageError::ScanAborted)
-            } else {
-                Ok(())
-            }
-        });
-        settle_scan(res, unwrap_state(stash))
-    }
-}
-
 /// Result of a SELECT: labeled columns and materialized rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -165,207 +138,29 @@ impl QueryResult {
     }
 }
 
-/// Execute a SELECT against `source` with `params` bound.
+/// Execute a SELECT against `source` with `params` bound: one streaming
+/// fold over [`RowSource::for_each`] into a single partition state.
 pub fn execute_select(
     source: &dyn RowSource,
     stmt: &SelectStmt,
     params: &Params,
 ) -> SqlResult<QueryResult> {
-    let schema = source.schema();
-    let ctx = EvalContext::new(schema, params);
-
-    if let Some(w) = &stmt.where_clause {
-        if w.contains_aggregate() {
-            return Err(SqlError::MisplacedAggregate);
-        }
-    }
-
-    // Streaming scan with WHERE pushdown: filtered-out rows never buffer.
-    let _scan_span = wh_obs::trace_span!("sql.exec.scan_filter");
-    let scan_timer = wh_obs::Timer::start();
-    let mut scanned: u64 = 0;
-    let mut rows = Vec::new();
-    source.for_each(&mut |row| {
-        scanned += 1;
-        let keep = match &stmt.where_clause {
-            Some(pred) => ctx.eval_predicate(pred, &row)?,
-            None => true,
-        };
-        if keep {
-            rows.push(row);
-        }
-        Ok(())
-    })?;
-    wh_obs::histogram!("sql.exec.scan_filter_ns").record(scan_timer.elapsed_ns());
-    wh_obs::counter!("sql.exec.scan.rows_in").add(scanned);
-    wh_obs::counter!("sql.exec.filter.rows_out").add(rows.len() as u64);
-
-    drop(_scan_span);
-    let _stage_span = wh_obs::trace_span!("sql.exec.stage");
-    let stage_timer = wh_obs::Timer::start();
-    let aggregate = is_aggregate_query(stmt);
-    let (columns, out_rows, order_keys) = if aggregate {
-        execute_grouped(schema, &ctx, stmt, rows)?
-    } else {
-        execute_plain(schema, &ctx, stmt, rows)?
-    };
-    if aggregate {
-        wh_obs::histogram!("sql.exec.aggregate_ns").record(stage_timer.elapsed_ns());
-    } else {
-        wh_obs::histogram!("sql.exec.project_ns").record(stage_timer.elapsed_ns());
-    }
-
-    let sort_timer = wh_obs::Timer::start();
-    let result = sort_and_limit(stmt, columns, out_rows, order_keys);
-    wh_obs::histogram!("sql.exec.sort_limit_ns").record(sort_timer.elapsed_ns());
-    wh_obs::counter!("sql.exec.rows_out").add(result.rows.len() as u64);
-    Ok(result)
-}
-
-pub(crate) fn is_aggregate_query(stmt: &SelectStmt) -> bool {
-    !stmt.group_by.is_empty()
-        || stmt.having.is_some()
-        || stmt.items.iter().any(|it| it.expr.contains_aggregate())
-}
-
-/// The shared tail of SELECT execution: ORDER BY on precomputed keys, LIMIT.
-pub(crate) fn sort_and_limit(
-    stmt: &SelectStmt,
-    columns: Vec<String>,
-    mut out_rows: Vec<Row>,
-    order_keys: Vec<Vec<Value>>,
-) -> QueryResult {
-    if !stmt.order_by.is_empty() {
-        let mut indexed: Vec<(Vec<Value>, Row)> = order_keys.into_iter().zip(out_rows).collect();
-        indexed.sort_by(|(ka, _), (kb, _)| {
-            for (ok, (a, b)) in stmt.order_by.iter().zip(ka.iter().zip(kb.iter())) {
-                let ord = a.grouping_cmp(b);
-                let ord = if ok.asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        out_rows = indexed.into_iter().map(|(_, r)| r).collect();
-    }
-
-    if let Some(limit) = stmt.limit {
-        out_rows.truncate(limit as usize);
-    }
-
-    QueryResult {
-        columns,
-        rows: out_rows,
-    }
-}
-
-type ProjectedRows = (Vec<String>, Vec<Row>, Vec<Vec<Value>>);
-
-fn execute_plain(
-    schema: &Schema,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    rows: Vec<Row>,
-) -> SqlResult<ProjectedRows> {
-    let columns: Vec<String> = if stmt.items.is_empty() {
-        schema.columns().iter().map(|c| c.name.clone()).collect()
-    } else {
-        stmt.items.iter().map(SelectItem::label).collect()
-    };
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut order_keys = Vec::new();
-    for row in rows {
-        let projected = if stmt.items.is_empty() {
-            row.clone()
-        } else {
-            stmt.items
-                .iter()
-                .map(|it| ctx.eval(&it.expr, &row))
-                .collect::<SqlResult<Vec<_>>>()?
-        };
-        if !stmt.order_by.is_empty() {
-            order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| ctx.eval(&k.expr, &row))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        out_rows.push(projected);
-    }
-    Ok((columns, out_rows, order_keys))
-}
-
-fn execute_grouped(
-    schema: &Schema,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    rows: Vec<Row>,
-) -> SqlResult<ProjectedRows> {
-    validate_grouping(schema, stmt)?;
-
-    // Bucket rows by group key (whole-input single group when GROUP BY absent).
-    let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-    let mut lookup: HashMap<IndexKey, usize> = HashMap::new();
-    if stmt.group_by.is_empty() {
-        groups.push((Vec::new(), rows));
-    } else {
-        for row in rows {
-            let key: Vec<Value> = stmt
-                .group_by
-                .iter()
-                .map(|e| ctx.eval(e, &row))
-                .collect::<SqlResult<Vec<_>>>()?;
-            let idx_key = IndexKey(key.clone());
-            match lookup.get(&idx_key) {
-                Some(&i) => groups[i].1.push(row),
-                None => {
-                    lookup.insert(idx_key, groups.len());
-                    groups.push((key, vec![row]));
-                }
-            }
-        }
-    }
-
-    let columns: Vec<String> = stmt.items.iter().map(SelectItem::label).collect();
-    let mut out_rows = Vec::with_capacity(groups.len());
-    let mut order_keys = Vec::new();
-    for (_, group_rows) in &groups {
-        // HAVING: filter whole groups (aggregates allowed).
-        if let Some(h) = &stmt.having {
-            if eval_aggregate_expr(ctx, h, group_rows)? != Value::Bool(true) {
-                continue;
-            }
-        }
-        let projected = stmt
-            .items
-            .iter()
-            .map(|it| eval_aggregate_expr(ctx, &it.expr, group_rows))
-            .collect::<SqlResult<Vec<_>>>()?;
-        if !stmt.order_by.is_empty() {
-            order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| eval_aggregate_expr(ctx, &k.expr, group_rows))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        out_rows.push(projected);
-    }
-    Ok((columns, out_rows, order_keys))
+    let fold = SelectFold::plan(source.schema(), stmt, params)?;
+    let mut part = Partition::default();
+    let span = wh_obs::trace_span!("sql.exec.scan_fold");
+    let timer = wh_obs::Timer::start();
+    source.for_each(&mut |row| fold.fold(&mut part, row))?;
+    wh_obs::histogram!("sql.exec.scan_fold_ns").record(timer.elapsed_ns());
+    drop(span);
+    fold.finish(vec![part])
 }
 
 /// Execute a SELECT against a partitionable source with up to `threads`
-/// workers.
+/// workers: the same fold as [`execute_select`], with one partition state
+/// per worker, merged in worker order.
 ///
-/// Plain queries evaluate WHERE + projection on worker threads and
-/// concatenate per-worker buffers in worker order; since partitions are
-/// contiguous ranges in scan order, the result row order equals the serial
-/// order. Aggregate queries fold rows into per-worker partial aggregate
-/// maps (one accumulator per aggregate call site per group) that are merged
-/// at the end, so no worker ever materializes its partition. Group output
-/// order equals serial first-seen order for the same reason. Results are
+/// Partitions are contiguous ranges in scan order, so plain rows come out
+/// in serial order and groups in serial first-seen order; results are
 /// identical to [`execute_select`] except that floating-point SUM/AVG may
 /// differ in the last bits (addition is reassociated across partitions).
 pub fn execute_select_parallel(
@@ -377,90 +172,278 @@ pub fn execute_select_parallel(
     if threads <= 1 {
         return execute_select(source, stmt, params);
     }
-    let schema = source.schema();
-    let ctx = EvalContext::new(schema, params);
-
-    if let Some(w) = &stmt.where_clause {
-        if w.contains_aggregate() {
-            return Err(SqlError::MisplacedAggregate);
-        }
-    }
-
-    let _ts = wh_obs::trace_span!("sql.exec.parallel_select");
+    let fold = SelectFold::plan(source.schema(), stmt, params)?;
+    let parts: Vec<Mutex<Partition>> = (0..threads).map(|_| Mutex::default()).collect();
+    let span = wh_obs::trace_span!("sql.exec.scan_fold");
     let timer = wh_obs::Timer::start();
-    let result = if is_aggregate_query(stmt) {
-        execute_grouped_parallel(source, schema, &ctx, stmt, threads)
-    } else {
-        execute_plain_parallel(source, &ctx, stmt, threads)
-    };
-    wh_obs::histogram!("sql.exec.parallel_select_ns").record(timer.elapsed_ns());
-    if let Ok(r) = &result {
-        wh_obs::counter!("sql.exec.rows_out").add(r.rows.len() as u64);
-    }
-    result
+    source.for_each_parallel(threads, &|w, row| {
+        fold.fold(&mut lock_state(&parts[w % parts.len()]), row)
+    })?;
+    wh_obs::histogram!("sql.exec.scan_fold_ns").record(timer.elapsed_ns());
+    drop(span);
+    fold.finish(parts.into_iter().map(unwrap_state).collect())
 }
 
-fn execute_plain_parallel(
-    source: &dyn ParallelRowSource,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    threads: usize,
-) -> SqlResult<QueryResult> {
-    #[derive(Default)]
-    struct Worker {
-        out_rows: Vec<Row>,
-        order_keys: Vec<Vec<Value>>,
-    }
-    let workers: Vec<Mutex<Worker>> = (0..threads.max(1))
-        .map(|_| Mutex::new(Worker::default()))
-        .collect();
-    source.for_each_parallel(threads, &|w, row| {
-        let keep = match &stmt.where_clause {
-            Some(pred) => ctx.eval_predicate(pred, &row)?,
-            None => true,
-        };
-        if !keep {
-            return Ok(());
-        }
-        let projected = if stmt.items.is_empty() {
-            row.clone()
-        } else {
-            stmt.items
-                .iter()
-                .map(|it| ctx.eval(&it.expr, &row))
-                .collect::<SqlResult<Vec<_>>>()?
-        };
-        let mut state = lock_state(&workers[w]);
-        if !stmt.order_by.is_empty() {
-            state.order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| ctx.eval(&k.expr, &row))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        state.out_rows.push(projected);
-        Ok(())
-    })?;
+pub(crate) fn is_aggregate_query(stmt: &SelectStmt) -> bool {
+    !stmt.group_by.is_empty()
+        || stmt.having.is_some()
+        || stmt.items.iter().any(|it| it.expr.contains_aggregate())
+}
 
-    let columns: Vec<String> = if stmt.items.is_empty() {
-        source
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect()
-    } else {
-        stmt.items.iter().map(SelectItem::label).collect()
-    };
-    let mut out_rows = Vec::new();
-    let mut order_keys = Vec::new();
-    for state in workers {
-        let state = unwrap_state(state);
-        out_rows.extend(state.out_rows);
-        order_keys.extend(state.order_keys);
+/// The shared tail of SELECT execution: ORDER BY on precomputed keys, then
+/// LIMIT. `order_keys` is flat, `stmt.order_by.len()` values per output
+/// row in row order, so sorting compares contiguous keys rather than
+/// chasing one small allocation per row.
+pub(crate) fn sort_and_limit(
+    stmt: &SelectStmt,
+    columns: Vec<String>,
+    mut out_rows: Vec<Row>,
+    order_keys: Vec<Value>,
+) -> QueryResult {
+    let limit = stmt
+        .limit
+        .map_or(out_rows.len(), |l| out_rows.len().min(l as usize));
+    let width = stmt.order_by.len();
+    if width > 0 {
+        let key = |i: usize| &order_keys[i * width..(i + 1) * width];
+        // Ties break on row position, so the order is total and equals a
+        // stable sort of the rows.
+        let cmp = |a: &usize, b: &usize| {
+            for (k, (x, y)) in stmt.order_by.iter().zip(key(*a).iter().zip(key(*b))) {
+                let ord = x.grouping_cmp(y);
+                let ord = if k.asc { ord } else { ord.reverse() };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            a.cmp(b)
+        };
+        let mut order: Vec<usize> = (0..out_rows.len()).collect();
+        if limit < order.len() {
+            // Top-k: partition the first `limit` rows out, sort only those.
+            order.select_nth_unstable_by(limit, cmp);
+            order.truncate(limit);
+        }
+        order.sort_unstable_by(cmp);
+        let mut slots: Vec<Option<Row>> = out_rows.into_iter().map(Some).collect();
+        out_rows = order.into_iter().filter_map(|i| slots[i].take()).collect();
     }
-    Ok(sort_and_limit(stmt, columns, out_rows, order_keys))
+    out_rows.truncate(limit);
+    QueryResult {
+        columns,
+        rows: out_rows,
+    }
+}
+
+/// A SELECT planned for streaming execution: WHERE, projection and
+/// aggregation run per row inside the scan visitor, so a plain query holds
+/// only its output rows and an aggregate query only one accumulator per
+/// aggregate call site per group.
+struct SelectFold<'a> {
+    schema: &'a Schema,
+    stmt: &'a SelectStmt,
+    ctx: EvalContext<'a>,
+    /// Aggregate call sites; `None` for a plain (non-aggregate) query.
+    specs: Option<Vec<AggSpec>>,
+}
+
+/// One scan partition's fold state.
+#[derive(Default)]
+struct Partition {
+    /// Rows handed to the fold, before WHERE.
+    scanned: u64,
+    /// Rows that passed WHERE.
+    kept: u64,
+    /// Plain queries: projected rows and their ORDER BY keys (flat, one
+    /// key width per row), scan order.
+    rows: Vec<Row>,
+    order_keys: Vec<Value>,
+    /// Aggregate queries: groups in first-seen order.
+    groups: Vec<GroupAcc>,
+    lookup: HashMap<IndexKey, usize>,
+}
+
+/// Partial aggregation state for one group.
+struct GroupAcc {
+    key: Vec<Value>,
+    /// First row of the group, in scan order: the row bare (grouped) column
+    /// references evaluate against. `None` only for the empty global group.
+    rep: Option<Row>,
+    accs: Vec<AggAcc>,
+}
+
+impl GroupAcc {
+    fn new(key: Vec<Value>, specs: &[AggSpec]) -> GroupAcc {
+        GroupAcc {
+            key,
+            rep: None,
+            accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
+        }
+    }
+}
+
+impl<'a> SelectFold<'a> {
+    fn plan(schema: &'a Schema, stmt: &'a SelectStmt, params: &'a Params) -> SqlResult<Self> {
+        if stmt
+            .where_clause
+            .as_ref()
+            .is_some_and(Expr::contains_aggregate)
+        {
+            return Err(SqlError::MisplacedAggregate);
+        }
+        let specs = if is_aggregate_query(stmt) {
+            validate_grouping(schema, stmt)?;
+            Some(aggregate_specs(stmt))
+        } else {
+            None
+        };
+        Ok(SelectFold {
+            schema,
+            stmt,
+            ctx: EvalContext::new(schema, params),
+            specs,
+        })
+    }
+
+    /// Fold one scanned row into `part`.
+    fn fold(&self, part: &mut Partition, row: Row) -> SqlResult<()> {
+        let (stmt, ctx) = (self.stmt, &self.ctx);
+        part.scanned += 1;
+        if let Some(pred) = &stmt.where_clause {
+            if !ctx.eval_predicate(pred, &row)? {
+                return Ok(());
+            }
+        }
+        part.kept += 1;
+        let Some(specs) = &self.specs else {
+            for k in &stmt.order_by {
+                part.order_keys.push(ctx.eval(&k.expr, &row)?);
+            }
+            part.rows.push(if stmt.items.is_empty() {
+                row
+            } else {
+                stmt.items
+                    .iter()
+                    .map(|it| ctx.eval(&it.expr, &row))
+                    .collect::<SqlResult<_>>()?
+            });
+            return Ok(());
+        };
+        let i = if stmt.group_by.is_empty() {
+            // No GROUP BY: the whole input folds straight into one group,
+            // with no key to evaluate or hash.
+            if part.groups.is_empty() {
+                part.groups.push(GroupAcc::new(Vec::new(), specs));
+            }
+            0
+        } else {
+            let key = IndexKey(
+                stmt.group_by
+                    .iter()
+                    .map(|e| ctx.eval(e, &row))
+                    .collect::<SqlResult<_>>()?,
+            );
+            match part.lookup.get(&key) {
+                Some(&i) => i,
+                None => {
+                    let i = part.groups.len();
+                    part.groups.push(GroupAcc::new(key.0.clone(), specs));
+                    part.lookup.insert(key, i);
+                    i
+                }
+            }
+        };
+        let group = &mut part.groups[i];
+        for (acc, (func, arg)) in group.accs.iter_mut().zip(specs) {
+            let input = match arg {
+                Some(e) => Some(ctx.eval(e, &row)?),
+                None => None,
+            };
+            acc.fold(*func, input)?;
+        }
+        if group.rep.is_none() {
+            group.rep = Some(row);
+        }
+        Ok(())
+    }
+
+    /// Merge the partitions in order, then project, sort and limit.
+    fn finish(&self, parts: Vec<Partition>) -> SqlResult<QueryResult> {
+        let _span = wh_obs::trace_span!("sql.exec.finish");
+        let timer = wh_obs::Timer::start();
+        let stmt = self.stmt;
+        let (scanned, kept) = parts
+            .iter()
+            .fold((0, 0), |(s, k), p| (s + p.scanned, k + p.kept));
+        wh_obs::counter!("sql.exec.scan.rows_in").add(scanned);
+        wh_obs::counter!("sql.exec.filter.rows_out").add(kept);
+        let result = match &self.specs {
+            None => {
+                let columns = if stmt.items.is_empty() {
+                    self.schema
+                        .columns()
+                        .iter()
+                        .map(|c| c.name.clone())
+                        .collect()
+                } else {
+                    stmt.items.iter().map(SelectItem::label).collect()
+                };
+                let mut rows = Vec::new();
+                let mut order_keys = Vec::new();
+                for part in parts {
+                    rows.extend(part.rows);
+                    order_keys.extend(part.order_keys);
+                }
+                sort_and_limit(stmt, columns, rows, order_keys)
+            }
+            Some(specs) => {
+                let mut parts = parts.into_iter();
+                let first = parts.next().unwrap_or_default();
+                let (mut groups, mut lookup) = (first.groups, first.lookup);
+                for part in parts {
+                    for group in part.groups {
+                        let found = if stmt.group_by.is_empty() {
+                            (!groups.is_empty()).then_some(0)
+                        } else {
+                            lookup.get(&IndexKey(group.key.clone())).copied()
+                        };
+                        match found {
+                            Some(i) => {
+                                let into = &mut groups[i];
+                                for (slot, ((func, _), acc)) in
+                                    into.accs.iter_mut().zip(specs.iter().zip(group.accs))
+                                {
+                                    slot.merge(*func, acc)?;
+                                }
+                            }
+                            None => {
+                                lookup.insert(IndexKey(group.key.clone()), groups.len());
+                                groups.push(group);
+                            }
+                        }
+                    }
+                }
+                // A query with no GROUP BY aggregates the whole input as
+                // one group, even when the input is empty.
+                if groups.is_empty() && stmt.group_by.is_empty() {
+                    groups.push(GroupAcc::new(Vec::new(), specs));
+                }
+                let finished = groups.into_iter().map(|g| {
+                    let values = g
+                        .accs
+                        .into_iter()
+                        .zip(specs)
+                        .map(|(acc, (f, _))| acc.finish(*f))
+                        .collect::<SqlResult<Vec<_>>>()?;
+                    Ok((g.rep, values))
+                });
+                project_groups(&self.ctx, stmt, specs, finished)?
+            }
+        };
+        wh_obs::counter!("sql.exec.rows_out").add(result.rows.len() as u64);
+        wh_obs::histogram!("sql.exec.finish_ns").record(timer.elapsed_ns());
+        Ok(result)
+    }
 }
 
 /// One aggregate call site: function and argument expression.
@@ -593,8 +576,8 @@ impl AggAcc {
         Ok(())
     }
 
-    /// The final aggregate value (empty-input semantics match the serial
-    /// executor: COUNT → 0, everything else → NULL).
+    /// The final aggregate value (over empty input: COUNT → 0, everything
+    /// else → NULL).
     pub(crate) fn finish(self, _func: AggFunc) -> SqlResult<Value> {
         match self {
             AggAcc::Count(n) => Ok(Value::Int(n)),
@@ -637,25 +620,9 @@ fn combine(func: AggFunc, prev: Value, next: Value) -> SqlResult<Value> {
     }
 }
 
-/// Partial aggregation state for one group.
-struct GroupAcc {
-    key: Vec<Value>,
-    /// First row of the group, in scan order: the row bare (grouped) column
-    /// references evaluate against, exactly as in the serial executor.
-    rep: Option<Row>,
-    accs: Vec<AggAcc>,
-}
-
-#[derive(Default)]
-struct GroupWorker {
-    groups: Vec<GroupAcc>,
-    lookup: HashMap<IndexKey, usize>,
-}
-
 /// Evaluate an expression over a finished group: aggregate call sites take
 /// their merged value, everything else evaluates against the group's
-/// representative row (NULL when the group is empty — same as the serial
-/// executor's empty-group behavior).
+/// representative row (NULL for the empty global group).
 pub(crate) fn eval_computed(
     ctx: &EvalContext<'_>,
     expr: &Expr,
@@ -744,18 +711,10 @@ pub(crate) fn eval_computed(
     }
 }
 
-fn execute_grouped_parallel(
-    source: &dyn ParallelRowSource,
-    schema: &Schema,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    threads: usize,
-) -> SqlResult<QueryResult> {
-    validate_grouping(schema, stmt)?;
-
-    // Every aggregate call site across projections, HAVING, and ORDER BY
-    // gets one accumulator slot per group.
-    let mut specs: Vec<AggSpec> = Vec::new();
+/// Every aggregate call site of `stmt` — projection, HAVING and ORDER BY
+/// — each of which gets one accumulator slot per group.
+pub(crate) fn aggregate_specs(stmt: &SelectStmt) -> Vec<AggSpec> {
+    let mut specs = Vec::new();
     for it in &stmt.items {
         collect_aggregates(&it.expr, &mut specs);
     }
@@ -765,99 +724,24 @@ fn execute_grouped_parallel(
     for k in &stmt.order_by {
         collect_aggregates(&k.expr, &mut specs);
     }
-    let specs = &specs;
+    specs
+}
 
-    let workers: Vec<Mutex<GroupWorker>> = (0..threads.max(1))
-        .map(|_| Mutex::new(GroupWorker::default()))
-        .collect();
-    source.for_each_parallel(threads, &|w, row| {
-        let keep = match &stmt.where_clause {
-            Some(pred) => ctx.eval_predicate(pred, &row)?,
-            None => true,
-        };
-        if !keep {
-            return Ok(());
-        }
-        let key: Vec<Value> = stmt
-            .group_by
-            .iter()
-            .map(|e| ctx.eval(e, &row))
-            .collect::<SqlResult<Vec<_>>>()?;
-        // Evaluate aggregate arguments outside the worker-state lock.
-        let mut inputs = Vec::with_capacity(specs.len());
-        for (_, arg) in specs {
-            inputs.push(match arg {
-                Some(e) => Some(ctx.eval(e, &row)?),
-                None => None,
-            });
-        }
-        let mut state = lock_state(&workers[w]);
-        let idx_key = IndexKey(key.clone());
-        let i = match state.lookup.get(&idx_key) {
-            Some(&i) => i,
-            None => {
-                let i = state.groups.len();
-                state.lookup.insert(idx_key, i);
-                state.groups.push(GroupAcc {
-                    key,
-                    rep: Some(row.clone()),
-                    accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
-                });
-                i
-            }
-        };
-        let group = &mut state.groups[i];
-        for (slot, ((func, _), input)) in group.accs.iter_mut().zip(specs.iter().zip(inputs)) {
-            slot.fold(*func, input)?;
-        }
-        Ok(())
-    })?;
-
-    // Merge per-worker partials in worker order; partitions are contiguous
-    // scan ranges, so first-seen group order equals the serial executor's.
-    let mut groups: Vec<GroupAcc> = Vec::new();
-    let mut lookup: HashMap<IndexKey, usize> = HashMap::new();
-    for state in workers {
-        let state = unwrap_state(state);
-        for group in state.groups {
-            let idx_key = IndexKey(group.key.clone());
-            match lookup.get(&idx_key) {
-                Some(&i) => {
-                    for (slot, ((func, _), part)) in
-                        groups[i].accs.iter_mut().zip(specs.iter().zip(group.accs))
-                    {
-                        slot.merge(*func, part)?;
-                    }
-                }
-                None => {
-                    lookup.insert(idx_key, groups.len());
-                    groups.push(group);
-                }
-            }
-        }
-    }
-    // A query with no GROUP BY aggregates the whole input as one group,
-    // even when the input is empty.
-    if groups.is_empty() && stmt.group_by.is_empty() {
-        groups.push(GroupAcc {
-            key: Vec::new(),
-            rep: None,
-            accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
-        });
-    }
-
+/// The shared tail of aggregate execution: given each finished group's
+/// representative row and aggregate values (in first-seen order), apply
+/// HAVING, project, then ORDER BY and LIMIT.
+pub(crate) fn project_groups(
+    ctx: &EvalContext<'_>,
+    stmt: &SelectStmt,
+    specs: &[AggSpec],
+    groups: impl IntoIterator<Item = SqlResult<(Option<Row>, Vec<Value>)>>,
+) -> SqlResult<QueryResult> {
     let columns: Vec<String> = stmt.items.iter().map(SelectItem::label).collect();
-    let mut out_rows = Vec::with_capacity(groups.len());
+    let mut out_rows = Vec::new();
     let mut order_keys = Vec::new();
     for group in groups {
-        let rep = group.rep.as_ref();
-        let values = group
-            .accs
-            .clone()
-            .into_iter()
-            .zip(specs)
-            .map(|(acc, (f, _))| acc.finish(*f))
-            .collect::<SqlResult<Vec<_>>>()?;
+        let (rep, values) = group?;
+        let rep = rep.as_ref();
         if let Some(h) = &stmt.having {
             if eval_computed(ctx, h, rep, specs, &values)? != Value::Bool(true) {
                 continue;
@@ -868,13 +752,8 @@ fn execute_grouped_parallel(
             .iter()
             .map(|it| eval_computed(ctx, &it.expr, rep, specs, &values))
             .collect::<SqlResult<Vec<_>>>()?;
-        if !stmt.order_by.is_empty() {
-            order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| eval_computed(ctx, &k.expr, rep, specs, &values))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
+        for k in &stmt.order_by {
+            order_keys.push(eval_computed(ctx, &k.expr, rep, specs, &values)?);
         }
         out_rows.push(projected);
     }
@@ -956,173 +835,6 @@ fn collect_columns_outside_aggregates(expr: &Expr, out: &mut Vec<String>) {
             if let Some(e) = else_expr {
                 collect_columns_outside_aggregates(e, out);
             }
-        }
-    }
-}
-
-/// Evaluate an expression that may contain aggregates over a group of rows:
-/// aggregates are computed over the group, everything else over the group's
-/// first row (validated to be a grouping column).
-fn eval_aggregate_expr(ctx: &EvalContext<'_>, expr: &Expr, group: &[Row]) -> SqlResult<Value> {
-    match expr {
-        Expr::Aggregate { func, arg } => compute_aggregate(ctx, *func, arg.as_deref(), group),
-        Expr::Binary { op, left, right } => {
-            let l = eval_aggregate_expr(ctx, left, group)?;
-            let r = eval_aggregate_expr(ctx, right, group)?;
-            // Reuse scalar machinery by substituting the computed operands.
-            let rebuilt = Expr::binary(*op, Expr::Literal(l), Expr::Literal(r));
-            ctx.eval(&rebuilt, &[])
-        }
-        Expr::Not(e) => {
-            let v = eval_aggregate_expr(ctx, e, group)?;
-            ctx.eval(&Expr::Not(Box::new(Expr::Literal(v))), &[])
-        }
-        Expr::Neg(e) => {
-            let v = eval_aggregate_expr(ctx, e, group)?;
-            ctx.eval(&Expr::Neg(Box::new(Expr::Literal(v))), &[])
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_aggregate_expr(ctx, expr, group)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_aggregate_expr(ctx, expr, group)?;
-            let lo = eval_aggregate_expr(ctx, low, group)?;
-            let hi = eval_aggregate_expr(ctx, high, group)?;
-            let rebuilt = Expr::Between {
-                expr: Box::new(Expr::Literal(v)),
-                low: Box::new(Expr::Literal(lo)),
-                high: Box::new(Expr::Literal(hi)),
-                negated: *negated,
-            };
-            ctx.eval(&rebuilt, &[])
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_aggregate_expr(ctx, expr, group)?;
-            let lits = list
-                .iter()
-                .map(|e| eval_aggregate_expr(ctx, e, group).map(Expr::Literal))
-                .collect::<SqlResult<Vec<_>>>()?;
-            let rebuilt = Expr::InList {
-                expr: Box::new(Expr::Literal(v)),
-                list: lits,
-                negated: *negated,
-            };
-            ctx.eval(&rebuilt, &[])
-        }
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (cond, val) in branches {
-                if eval_aggregate_expr(ctx, cond, group)? == Value::Bool(true) {
-                    return eval_aggregate_expr(ctx, val, group);
-                }
-            }
-            match else_expr {
-                Some(e) => eval_aggregate_expr(ctx, e, group),
-                None => Ok(Value::Null),
-            }
-        }
-        scalar => match group.first() {
-            Some(row) => ctx.eval(scalar, row),
-            None => Ok(Value::Null),
-        },
-    }
-}
-
-fn compute_aggregate(
-    ctx: &EvalContext<'_>,
-    func: AggFunc,
-    arg: Option<&Expr>,
-    group: &[Row],
-) -> SqlResult<Value> {
-    match func {
-        AggFunc::Count => {
-            let n = match arg {
-                None => group.len() as i64,
-                Some(e) => {
-                    let mut n = 0i64;
-                    for row in group {
-                        if !ctx.eval(e, row)?.is_null() {
-                            n += 1;
-                        }
-                    }
-                    n
-                }
-            };
-            Ok(Value::Int(n))
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            let e = arg.ok_or(SqlError::MisplacedAggregate)?;
-            let mut acc: Option<Value> = None;
-            let mut n = 0i64;
-            for row in group {
-                let v = ctx.eval(e, row)?;
-                if v.is_null() {
-                    continue;
-                }
-                n += 1;
-                acc = Some(match acc {
-                    None => v,
-                    Some(prev) => prev.add(&v)?,
-                });
-            }
-            match (func, acc) {
-                (_, None) => Ok(Value::Null),
-                (AggFunc::Sum, Some(total)) => Ok(total),
-                (AggFunc::Avg, Some(total)) => {
-                    let t =
-                        total
-                            .as_f64()
-                            .ok_or(SqlError::Type(wh_types::TypeError::Mismatch {
-                                op: "AVG",
-                                left: "non-numeric".into(),
-                                right: "numeric".into(),
-                            }))?;
-                    Ok(Value::Float(t / n as f64))
-                }
-                _ => Err(SqlError::Unsupported(
-                    "aggregate dispatch reached a foreign function arm".into(),
-                )),
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let e = arg.ok_or(SqlError::MisplacedAggregate)?;
-            let mut best: Option<Value> = None;
-            for row in group {
-                let v = ctx.eval(e, row)?;
-                if v.is_null() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v,
-                    Some(prev) => {
-                        let keep_new = match v.sql_cmp(&prev)? {
-                            Some(ord) => {
-                                (func == AggFunc::Min && ord == std::cmp::Ordering::Less)
-                                    || (func == AggFunc::Max && ord == std::cmp::Ordering::Greater)
-                            }
-                            None => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            prev
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
         }
     }
 }
@@ -1445,12 +1157,60 @@ mod tests {
         t
     }
 
+    /// A table's rows split into contiguous partitions, one scoped thread
+    /// each — the shape of a heap scanned as page ranges.
+    struct Partitioned {
+        schema: Schema,
+        rows: Vec<Row>,
+    }
+
+    impl Partitioned {
+        fn of(table: &Table) -> Partitioned {
+            Partitioned {
+                schema: table.schema().clone(),
+                rows: table.scan_rows().unwrap(),
+            }
+        }
+    }
+
+    impl RowSource for Partitioned {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+
+        fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
+            self.rows.iter().try_for_each(|r| visit(r.clone()))
+        }
+    }
+
+    impl ParallelRowSource for Partitioned {
+        fn for_each_parallel(
+            &self,
+            threads: usize,
+            visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
+        ) -> SqlResult<()> {
+            let chunk = self.rows.len().div_ceil(threads).max(1);
+            std::thread::scope(|s| {
+                let workers: Vec<_> = self
+                    .rows
+                    .chunks(chunk)
+                    .enumerate()
+                    .map(|(w, part)| {
+                        s.spawn(move || part.iter().try_for_each(|r| visit(w, r.clone())))
+                    })
+                    .collect();
+                workers.into_iter().try_for_each(|h| h.join().unwrap())
+            })
+        }
+    }
+
     fn select_both_ways(table: &Table, sql: &str, threads: usize) -> (QueryResult, QueryResult) {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
         let serial = execute_select(table, &s, &Params::new()).unwrap();
-        let parallel = execute_select_parallel(table, &s, &Params::new(), threads).unwrap();
+        let parallel =
+            execute_select_parallel(&Partitioned::of(table), &s, &Params::new(), threads).unwrap();
         (serial, parallel)
     }
 
@@ -1527,7 +1287,7 @@ mod tests {
             panic!("not a select")
         };
         let serial = execute_select(&t, &s, &Params::new());
-        let parallel = execute_select_parallel(&t, &s, &Params::new(), 4);
+        let parallel = execute_select_parallel(&Partitioned::of(&t), &s, &Params::new(), 4);
         assert!(serial.is_err());
         assert!(parallel.is_err());
     }

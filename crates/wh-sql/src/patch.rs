@@ -22,12 +22,12 @@
 //! accepted ([`AggPatcher::new`] returns `Unsupported` otherwise); callers
 //! treat that as "fall back to restart-and-rescan", never as an answer.
 
-use crate::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
+use crate::ast::{AggFunc, BinOp, Expr, SelectStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{EvalContext, Params};
 use crate::exec::{
-    collect_aggregates, eval_computed, is_aggregate_query, sort_and_limit, validate_grouping,
-    AggAcc, AggSpec, QueryResult,
+    aggregate_specs, is_aggregate_query, project_groups, validate_grouping, AggAcc, AggSpec,
+    QueryResult,
 };
 use std::collections::HashMap;
 use wh_index::IndexKey;
@@ -103,21 +103,11 @@ impl<'q> AggPatcher<'q> {
                 "aggregate patching requires plain-column GROUP BY keys".into(),
             ));
         }
-        let mut specs: Vec<AggSpec> = Vec::new();
-        for it in &stmt.items {
-            collect_aggregates(&it.expr, &mut specs);
-        }
-        if let Some(h) = &stmt.having {
-            collect_aggregates(h, &mut specs);
-        }
-        for k in &stmt.order_by {
-            collect_aggregates(&k.expr, &mut specs);
-        }
         Ok(AggPatcher {
             schema,
             stmt,
             params,
-            specs,
+            specs: aggregate_specs(stmt),
             groups: Vec::new(),
             lookup: HashMap::new(),
             patched: 0,
@@ -350,40 +340,16 @@ impl<'q> AggPatcher<'q> {
         if live.is_empty() && self.stmt.group_by.is_empty() {
             live.push(&empty_global);
         }
-        let columns: Vec<String> = self.stmt.items.iter().map(SelectItem::label).collect();
-        let mut out_rows = Vec::with_capacity(live.len());
-        let mut order_keys = Vec::new();
-        for group in live {
-            let rep = group.rep.as_ref();
+        let finished = live.into_iter().map(|group| {
             let values = group
                 .sites
                 .iter()
                 .zip(specs)
                 .map(|(s, (f, _))| s.acc.clone().finish(*f))
                 .collect::<SqlResult<Vec<_>>>()?;
-            if let Some(h) = &self.stmt.having {
-                if eval_computed(&ctx, h, rep, specs, &values)? != Value::Bool(true) {
-                    continue;
-                }
-            }
-            let projected = self
-                .stmt
-                .items
-                .iter()
-                .map(|it| eval_computed(&ctx, &it.expr, rep, specs, &values))
-                .collect::<SqlResult<Vec<_>>>()?;
-            if !self.stmt.order_by.is_empty() {
-                order_keys.push(
-                    self.stmt
-                        .order_by
-                        .iter()
-                        .map(|k| eval_computed(&ctx, &k.expr, rep, specs, &values))
-                        .collect::<SqlResult<Vec<_>>>()?,
-                );
-            }
-            out_rows.push(projected);
-        }
-        Ok(sort_and_limit(self.stmt, columns, out_rows, order_keys))
+            Ok((group.rep.clone(), values))
+        });
+        project_groups(&ctx, self.stmt, specs, finished)
     }
 }
 

@@ -67,7 +67,6 @@ pub use delta::{DeltaBatch, DeltaRow};
 pub use durable::{checkpoint, create_durable, recover_from_disk, DiskRecoveryReport};
 pub use error::{VnlError, VnlResult};
 pub use maintenance::{MaintenanceTxn, PhysicalAction};
-pub use reader::ScanPipeline;
 pub use reader::{ReadOutcome, ReaderSession};
 pub use recovery::{recover, RecoveryReport};
 pub use resilience::{
@@ -75,9 +74,7 @@ pub use resilience::{
     RepairEngine, Repaired, RetryPolicy, RetryStats,
 };
 pub use rewrite::QueryRewriter;
-pub use scan::{
-    BatchClasses, BatchScanner, ByteScanner, Classified, ColumnFilter, FilterOp, StrPool,
-};
+pub use scan::{BatchClasses, BatchScanner, Classified, ColumnFilter, FilterOp, StrPool};
 pub use schema_ext::{ExtLayout, StorageOverhead};
 pub use table::VnlTable;
 pub use version::{Operation, VersionNo, VersionState};

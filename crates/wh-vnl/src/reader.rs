@@ -23,21 +23,6 @@ pub enum ReadOutcome {
     Expired,
 }
 
-/// Which scan implementation a session's reads run on. Both produce
-/// identical rows (the property tests in [`crate::scan`] pin them to the
-/// reference extractor); [`ScanPipeline::Scalar`] remains available as the
-/// oracle and for A/B measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanPipeline {
-    /// Per-tuple byte classification under the page latch
-    /// ([`crate::scan::ByteScanner`]).
-    Scalar,
-    /// Page-batched classification over gathered version columns with
-    /// bitmap-selected decode ([`crate::scan::BatchScanner`]).
-    #[default]
-    Batched,
-}
-
 /// A reader session pinned to one database version.
 ///
 /// Throughout its life the session sees the state current as of its
@@ -53,8 +38,6 @@ pub struct ReaderSession<'t> {
     lease: Option<LeaseId>,
     /// Rolling call count behind [`ReaderSession::note_staleness_sampled`].
     staleness_probe: std::sync::atomic::AtomicU32,
-    /// Scan implementation for this session's reads.
-    pipeline: ScanPipeline,
     /// Root trace span covering the session; each read operation's span
     /// parents under it so a session's whole read history shares one
     /// trace id. Closed when the session is released.
@@ -88,19 +71,8 @@ impl<'t> ReaderSession<'t> {
             finished: false,
             lease: None,
             staleness_probe: std::sync::atomic::AtomicU32::new(0),
-            pipeline: ScanPipeline::default(),
             span_ctx: wh_obs::trace::open_ctx(wh_obs::trace_name!("vnl.session"), 0, session_vn),
         }
-    }
-
-    /// The scan pipeline this session's reads run on.
-    pub fn pipeline(&self) -> ScanPipeline {
-        self.pipeline
-    }
-
-    /// Switch the scan pipeline (default [`ScanPipeline::Batched`]).
-    pub fn set_pipeline(&mut self, pipeline: ScanPipeline) {
-        self.pipeline = pipeline;
     }
 
     /// The version this session reads.
@@ -206,16 +178,18 @@ impl<'t> ReaderSession<'t> {
     /// expiration detector: a tuple modified out from under the session
     /// raises [`VnlError::SessionExpired`].
     pub fn scan(&self) -> VnlResult<Vec<Row>> {
-        let _ts = wh_obs::trace_span_under!("vnl.read.scan", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        self.table.scan_visible(self.session_vn)
+        let mut out = Vec::new();
+        self.scan_with(|row| {
+            out.push(row);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Streaming twin of [`ReaderSession::scan`]: `visit` receives each
     /// visible row in heap order without the session materializing the
-    /// relation. Invisible tuples are rejected on their encoded bytes
-    /// before any row decode.
+    /// relation. Each heap page is classified as one batch (Table 1 over
+    /// the gathered version columns), and only visible tuples decode.
     pub fn scan_with<F>(&self, visit: F) -> VnlResult<()>
     where
         F: FnMut(Row) -> VnlResult<()>,
@@ -223,14 +197,8 @@ impl<'t> ReaderSession<'t> {
         let _ts = wh_obs::trace_span_under!("vnl.read.scan", self.span_ctx);
         let _lat = ReadProbe::start();
         self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => self.table.scan_visible_with(self.session_vn, None, visit),
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(None);
-                self.table
-                    .scan_visible_batched(&scanner, self.session_vn, visit)
-            }
-        }
+        self.table
+            .scan_visible_batched(&self.batch_scanner(None), self.session_vn, visit)
     }
 
     /// [`ReaderSession::scan_with`] with projection pushdown: rows carry
@@ -241,17 +209,8 @@ impl<'t> ReaderSession<'t> {
         F: FnMut(Row) -> VnlResult<()>,
     {
         self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => {
-                self.table
-                    .scan_visible_with(self.session_vn, Some(cols), visit)
-            }
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(Some(cols));
-                self.table
-                    .scan_visible_batched(&scanner, self.session_vn, visit)
-            }
-        }
+        self.table
+            .scan_visible_batched(&self.batch_scanner(Some(cols)), self.session_vn, visit)
     }
 
     /// Materializing form of [`ReaderSession::scan_projected_with`].
@@ -277,17 +236,12 @@ impl<'t> ReaderSession<'t> {
         let _ts = wh_obs::trace_span_under!("vnl.read.scan_parallel", self.span_ctx);
         let _lat = ReadProbe::start();
         self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => {
-                self.table
-                    .scan_visible_parallel(threads, self.session_vn, None, visit)
-            }
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(None);
-                self.table
-                    .scan_visible_batched_parallel(threads, &scanner, self.session_vn, visit)
-            }
-        }
+        self.table.scan_visible_batched_parallel(
+            threads,
+            &self.batch_scanner(None),
+            self.session_vn,
+            visit,
+        )
     }
 
     /// [`ReaderSession::scan_parallel`] with projection pushdown.
@@ -301,23 +255,17 @@ impl<'t> ReaderSession<'t> {
         F: Fn(usize, Row) -> VnlResult<()> + Sync,
     {
         self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => {
-                self.table
-                    .scan_visible_parallel(threads, self.session_vn, Some(cols), visit)
-            }
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(Some(cols));
-                self.table
-                    .scan_visible_batched_parallel(threads, &scanner, self.session_vn, visit)
-            }
-        }
+        self.table.scan_visible_batched_parallel(
+            threads,
+            &self.batch_scanner(Some(cols)),
+            self.session_vn,
+            visit,
+        )
     }
 
     /// Count the rows visible to this session without decoding any of them
-    /// — the batch pipeline's classify-only fast path (a selection bitmap
-    /// popcount per page). Unaffected by [`ReaderSession::set_pipeline`]:
-    /// there is no scalar analogue worth keeping.
+    /// — the scan's classify-only fast path (a selection bitmap popcount
+    /// per page).
     pub fn count(&self) -> VnlResult<u64> {
         self.note_staleness();
         self.table.count_visible(self.session_vn)
@@ -405,10 +353,10 @@ impl<'t> ReaderSession<'t> {
     }
 
     /// Like [`ReaderSession::query`] with a pre-parsed statement. The
-    /// executor streams straight off the byte-level scan pipeline — WHERE
-    /// is applied per tuple as it is extracted, never against a
-    /// materialized snapshot (and on the batched pipeline, pushable WHERE
-    /// conjuncts run inside the page classify kernel, before decode).
+    /// executor folds rows straight off the batched scan — WHERE is
+    /// applied per tuple as it is extracted, never against a materialized
+    /// snapshot, and pushable WHERE conjuncts run inside the page classify
+    /// kernel, before decode.
     pub fn query_stmt(&self, select: &SelectStmt) -> VnlResult<QueryResult> {
         let _ts = wh_obs::trace_span_under!("vnl.read.query", self.span_ctx);
         let _lat = ReadProbe::start();
@@ -448,44 +396,35 @@ impl<'t> ReaderSession<'t> {
     }
 
     /// Plan a statement against this session: build the scan source and the
-    /// statement the executor should actually run. On the batched pipeline
-    /// the two are planned together — pushable WHERE conjuncts move into
-    /// the scanner's filter kernel (and out of the executor statement), and
-    /// the *residual* statement's referenced columns drive projection
-    /// pushdown, so a column referenced only by pushed filters is never
-    /// decoded at all.
+    /// statement the executor should actually run. The two are planned
+    /// together — pushable WHERE conjuncts move into the scanner's filter
+    /// kernel (and out of the executor statement), and the *residual*
+    /// statement's referenced columns drive projection pushdown, so a
+    /// column referenced only by pushed filters is never decoded at all.
     fn source_for(&self, select: &SelectStmt) -> VnlResult<(SessionSource<'_>, SelectStmt)> {
         if select.from != self.table.name() {
             return Err(VnlError::Sql(SqlError::NoSuchTable(select.from.clone())));
         }
         let mut exec_stmt = select.clone();
-        let scanner = match self.pipeline {
-            ScanPipeline::Scalar => None,
-            ScanPipeline::Batched => {
-                let layout = self.table.layout();
-                let codec = self.table.storage().codec();
-                let filters: Vec<crate::scan::ColumnFilter> = match &select.where_clause {
-                    Some(pred) => {
-                        let (pushed, residual) =
-                            wh_sql::extract_scan_filters(pred, layout.base_schema());
-                        exec_stmt.where_clause = residual;
-                        pushed.iter().map(kernel_filter).collect()
-                    }
-                    None => Vec::new(),
-                };
-                // Rows keep full base arity (the executor addresses columns
-                // by index) but only the residual statement's referenced
-                // columns decode.
-                Some(match needed_base_cols(&exec_stmt, layout.base_schema()) {
-                    Some(needed) => {
-                        BatchScanner::new_sparse_filtered(layout, codec, &needed, &filters)
-                    }
-                    None if filters.is_empty() => BatchScanner::new(layout, codec, None),
-                    None => {
-                        let all: Vec<usize> = (0..layout.base_schema().arity()).collect();
-                        BatchScanner::new_sparse_filtered(layout, codec, &all, &filters)
-                    }
-                })
+        let layout = self.table.layout();
+        let codec = self.table.storage().codec();
+        let filters: Vec<crate::scan::ColumnFilter> = match &select.where_clause {
+            Some(pred) => {
+                let (pushed, residual) = wh_sql::extract_scan_filters(pred, layout.base_schema());
+                exec_stmt.where_clause = residual;
+                pushed.iter().map(kernel_filter).collect()
+            }
+            None => Vec::new(),
+        };
+        // Rows keep full base arity (the executor addresses columns by
+        // index) but only the residual statement's referenced columns
+        // decode.
+        let scanner = match needed_base_cols(&exec_stmt, layout.base_schema()) {
+            Some(needed) => BatchScanner::new_sparse_filtered(layout, codec, &needed, &filters),
+            None if filters.is_empty() => BatchScanner::new(layout, codec, None),
+            None => {
+                let all: Vec<usize> = (0..layout.base_schema().arity()).collect();
+                BatchScanner::new_sparse_filtered(layout, codec, &all, &filters)
             }
         };
         Ok((
@@ -549,8 +488,8 @@ impl Drop for ReaderSession<'_> {
 }
 
 /// Streaming row source over one session's consistent view: the SQL
-/// executor pulls rows straight off [`VnlTable::scan_visible_with`] /
-/// [`VnlTable::scan_visible_parallel`] — no intermediate snapshot.
+/// executor folds rows straight off [`VnlTable::scan_visible_batched`] /
+/// [`VnlTable::scan_visible_batched_parallel`] — no intermediate snapshot.
 ///
 /// The executor speaks [`SqlError`], but the scan can fail with
 /// session-level errors (expiration, storage faults) that must surface as
@@ -560,9 +499,9 @@ impl Drop for ReaderSession<'_> {
 struct SessionSource<'a> {
     table: &'a VnlTable,
     session_vn: VersionNo,
-    /// Batched pipeline: a statement-specific sparse scanner. `None` runs
-    /// the scalar pipeline.
-    scanner: Option<BatchScanner>,
+    /// The statement-specific scanner: pushed filters plus the columns
+    /// the residual statement needs.
+    scanner: BatchScanner,
     failure: Mutex<Option<VnlError>>,
 }
 
@@ -607,17 +546,11 @@ impl RowSource for SessionSource<'_> {
     }
 
     fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
-        match &self.scanner {
-            Some(scanner) => self
-                .table
-                .scan_visible_batched(scanner, self.session_vn, |row| {
-                    visit(row).map_err(VnlError::Sql)
-                }),
-            None => self.table.scan_visible_with(self.session_vn, None, |row| {
+        self.table
+            .scan_visible_batched(&self.scanner, self.session_vn, |row| {
                 visit(row).map_err(VnlError::Sql)
-            }),
-        }
-        .map_err(|e| self.smuggle(e))
+            })
+            .map_err(|e| self.smuggle(e))
     }
 }
 
@@ -627,29 +560,17 @@ impl ParallelRowSource for SessionSource<'_> {
         threads: usize,
         visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
     ) -> SqlResult<()> {
-        match &self.scanner {
-            Some(scanner) => self.table.scan_visible_batched_parallel(
+        self.table
+            .scan_visible_batched_parallel(
                 threads,
-                scanner,
+                &self.scanner,
                 self.session_vn,
                 |worker, row| visit(worker, row).map_err(VnlError::Sql),
-            ),
-            None => {
-                self.table
-                    .scan_visible_parallel(threads, self.session_vn, None, |worker, row| {
-                        visit(worker, row).map_err(VnlError::Sql)
-                    })
-            }
-        }
-        .map_err(|e| self.smuggle(e))
+            )
+            .map_err(|e| self.smuggle(e))
     }
 }
 
-/// The base-schema columns a SELECT references, for projection pushdown
-/// into the batch decoder. `None` means "decode everything": `SELECT *`
-/// (empty item list), or any name that does not resolve against the base
-/// schema (the executor will fail it with a proper error — the scan must
-/// not mask that by handing back a NULL column).
 /// Translate a planned `wh_sql` scan filter into the kernel's
 /// SQL-type-free form.
 fn kernel_filter(f: &wh_sql::ScanFilter) -> crate::scan::ColumnFilter {
@@ -668,6 +589,11 @@ fn kernel_filter(f: &wh_sql::ScanFilter) -> crate::scan::ColumnFilter {
     }
 }
 
+/// The base-schema columns a SELECT references, for projection pushdown
+/// into the batch decoder. `None` means "decode everything": `SELECT *`
+/// (empty item list), or any name that does not resolve against the base
+/// schema (the executor will fail it with a proper error — the scan must
+/// not mask that by handing back a NULL column).
 fn needed_base_cols(select: &SelectStmt, schema: &Schema) -> Option<Vec<usize>> {
     if select.items.is_empty() {
         return None;

@@ -1,40 +1,31 @@
-//! Byte-level visibility scans: Table 1 evaluated on encoded records.
+//! Batched visibility scans: Table 1 evaluated on gathered page batches.
 //!
 //! [`crate::visibility::extract`] is the reference implementation of Table 1
 //! (§3.2) and its nVNL generalization (§5), but it requires a fully decoded
 //! extended row. On the reader hot path that is wasteful twice over: most
 //! tuples in a scan resolve to *current* visibility (no maintenance touched
-//! them since the session began), yet every tuple pays full-row decode —
-//! including the `n − 1` pre-update sets the session will never look at —
+//! them since the session began), yet every tuple would pay full-row decode
+//! — including the `n − 1` pre-update sets the session will never look at —
 //! and a query usually projects a handful of columns anyway.
 //!
-//! [`ByteScanner`] fixes both. The extended row codec stores every column at
-//! a fixed byte offset (`wh_types::RowCodec::col_byte_range`), so the
-//! `(tupleVN_j, operation_j)` pairs can be read straight out of the encoded
-//! record: 4 little-endian bytes for the version number, 1 byte for the
-//! operation code, and one null-bitmap bit per column for slot occupancy.
-//! [`ByteScanner::classify`] runs the *entire* Table 1 decision on those
-//! bytes and only then does [`ByteScanner::decode_visible`] materialize the
-//! columns the caller asked for — invisible tuples are skipped before any
-//! decoding happens, and visible ones decode exactly the projected columns
+//! [`BatchScanner`] fixes both. The extended row codec stores every column
+//! at a fixed byte offset (`wh_types::RowCodec::col_byte_range`), so the
+//! heap can gather each page's `(tupleVN_j, operation_j)` pairs straight
+//! out of the encoded records into column-strided `i64` arrays (see
+//! `wh_storage::batch`). The scanner evaluates Table 1 over those arrays
+//! without data-dependent branching in the slot walk, writes the verdicts
+//! into a selection bitmap, and decodes *only* the selected records — and
+//! only the projected columns — through a precompiled per-column plan
 //! (pre-update columns are substituted per Table 1's note when the session
-//! reads a pre-update version).
+//! reads a pre-update version). Pushed-down WHERE conjuncts
+//! ([`ColumnFilter`]) demote failing records before decode.
 //!
-//! The classifier mirrors `extract` case by case; the
-//! `byte_path_matches_reference` tests below lock the two together on the
+//! The batch classifier mirrors `extract` case by case; the
+//! `batch_path_matches_reference` tests below lock the two together on the
 //! paper's fixtures (Figure 4, Figure 7) and on randomized histories.
-//!
-//! [`BatchScanner`] is the third rung: it consumes whole-page
-//! [`RecordBatch`]es (see `wh_storage::batch`) whose `(tupleVN_j,
-//! operation_j)` pairs have been gathered into column-strided `i64` arrays,
-//! evaluates Table 1 over those arrays without data-dependent branching in
-//! the slot walk, writes the verdicts into a selection bitmap, and decodes
-//! *only* the selected records through a precompiled per-column plan.
-//! `ByteScanner` stays as the per-tuple reference and oracle — the same
-//! property tests run all three implementations against each other.
 
 use crate::schema_ext::ExtLayout;
-use crate::version::{Operation, VersionNo};
+use crate::version::VersionNo;
 use std::collections::HashSet;
 use std::sync::Arc;
 use wh_storage::batch::{FieldSpec, RecordBatch, NULL_SENTINEL};
@@ -51,160 +42,6 @@ pub enum Classified {
     Ignore,
     /// Case 3: the version the session needs was pushed out of the tuple.
     Expired,
-}
-
-/// Byte offsets of one `(tupleVN_j, operation_j)` pair.
-#[derive(Debug, Clone, Copy)]
-struct SlotProbe {
-    /// Offset of the 4-byte little-endian `tupleVN_j` (Int32) slot.
-    vn_off: usize,
-    /// Offset of the 1-byte `operation_j` (Char(1)) slot.
-    op_off: usize,
-    /// Null-bitmap (byte, mask) of the `tupleVN_j` column.
-    vn_null: (usize, u8),
-    /// Null-bitmap (byte, mask) of the `operation_j` column.
-    op_null: (usize, u8),
-}
-
-/// Precomputed byte-level visibility classifier + projecting decoder for one
-/// `(ExtLayout, RowCodec)` pair. Cheap to build per scan; `Sync`, so one
-/// instance serves every worker of a parallel scan.
-#[derive(Debug, Clone)]
-pub struct ByteScanner {
-    slots: Vec<SlotProbe>,
-    /// Extended column index per projected output column, current version.
-    current_cols: Vec<usize>,
-    /// Same, per pre-update slot `j` (updatable columns swapped for their
-    /// `pre_…_j` copies — Table 1's "pre-update values" note).
-    pre_cols: Vec<Vec<usize>>,
-}
-
-fn null_bit(col: usize) -> (usize, u8) {
-    (col / 8, 1 << (col % 8))
-}
-
-impl ByteScanner {
-    /// Build a scanner over `layout` for records encoded by `codec` (the
-    /// extended-schema codec). `projection` lists the base-schema columns to
-    /// decode, in output order; `None` decodes the full base row.
-    pub fn new(layout: &ExtLayout, codec: &RowCodec, projection: Option<&[usize]>) -> Self {
-        let slots = (0..layout.slots())
-            .map(|j| {
-                let vn_col = layout.vn_col(j);
-                let op_col = layout.op_col(j);
-                SlotProbe {
-                    vn_off: codec.col_byte_range(vn_col).0,
-                    op_off: codec.col_byte_range(op_col).0,
-                    vn_null: null_bit(vn_col),
-                    op_null: null_bit(op_col),
-                }
-            })
-            .collect();
-        let all: Vec<usize>;
-        let projected: &[usize] = match projection {
-            Some(cols) => cols,
-            None => {
-                all = (0..layout.base_schema().arity()).collect();
-                &all
-            }
-        };
-        let current_cols: Vec<usize> = projected.iter().map(|&i| layout.base_col(i)).collect();
-        let pre_cols = (0..layout.slots())
-            .map(|j| {
-                projected
-                    .iter()
-                    .map(|&i| match layout.updatable().iter().position(|&u| u == i) {
-                        Some(u_pos) => layout.pre_set(j)[u_pos],
-                        None => layout.base_col(i),
-                    })
-                    .collect()
-            })
-            .collect();
-        ByteScanner {
-            slots,
-            current_cols,
-            pre_cols,
-        }
-    }
-
-    /// Read slot `j`'s `(tupleVN, operation)` from the encoded record;
-    /// `None` when the slot is empty (either column NULL) — the byte twin of
-    /// [`ExtLayout::slot`].
-    fn slot(&self, buf: &[u8], j: usize) -> Option<(VersionNo, Operation)> {
-        let p = &self.slots[j];
-        if buf[p.vn_null.0] & p.vn_null.1 != 0 || buf[p.op_null.0] & p.op_null.1 != 0 {
-            return None;
-        }
-        let vn = i32::from_le_bytes(buf[p.vn_off..p.vn_off + 4].try_into().unwrap()); // lint: allow(no-panic) — infallible: fixed-width slice
-        let op = match buf[p.op_off] {
-            b'i' => Operation::Insert,
-            b'u' => Operation::Update,
-            b'd' => Operation::Delete,
-            _ => return None,
-        };
-        Some((vn as i64 as VersionNo, op))
-    }
-
-    /// Table 1 / §5 on the encoded record — the byte twin of
-    /// [`crate::visibility::extract`], case for case.
-    pub fn classify(&self, buf: &[u8], session_vn: VersionNo) -> Classified {
-        let (vn1, op1) = self
-            .slot(buf, 0)
-            .expect("slot 0 is always populated for live tuples"); // lint: allow(no-panic) — invariant documented in the expect message
-                                                                   // Case 1: the session is at or past the tuple's newest modification.
-        if session_vn >= vn1 {
-            return match op1 {
-                Operation::Delete => Classified::Ignore,
-                _ => Classified::Current,
-            };
-        }
-        // Case 2: find j* = the oldest recorded slot with tupleVN_j > sessionVN.
-        let mut j_star = 0;
-        let mut oldest_recorded = 0;
-        for j in 1..self.slots.len() {
-            match self.slot(buf, j) {
-                Some((vn_j, _)) => {
-                    oldest_recorded = j;
-                    if vn_j > session_vn {
-                        j_star = j;
-                    }
-                }
-                None => break,
-            }
-        }
-        // Case 3: expired — all slots full, and the session predates even
-        // the oldest recorded pre-update version's validity window.
-        let slots_full = oldest_recorded == self.slots.len() - 1;
-        if slots_full && j_star == oldest_recorded {
-            let (vn_oldest, _) = self.slot(buf, oldest_recorded).expect("recorded"); // lint: allow(no-panic) — invariant documented in the expect message
-            if session_vn + 1 < vn_oldest {
-                return Classified::Expired;
-            }
-        }
-        let (_, op_j) = self.slot(buf, j_star).expect("j* is recorded"); // lint: allow(no-panic) — invariant documented in the expect message
-        match op_j {
-            Operation::Insert => Classified::Ignore,
-            _ => Classified::Pre(j_star),
-        }
-    }
-
-    /// Decode the projected columns of a record already classified visible
-    /// (`Current` or `Pre(j)`); only those columns are materialized.
-    pub fn decode_visible(
-        &self,
-        codec: &RowCodec,
-        buf: &[u8],
-        which: Classified,
-    ) -> TypeResult<Row> {
-        let cols = match which {
-            Classified::Current => &self.current_cols,
-            Classified::Pre(j) => &self.pre_cols[j],
-            Classified::Ignore | Classified::Expired => {
-                unreachable!("decode_visible called on an invisible record") // lint: allow(no-panic) — unreachable by construction (see message)
-            }
-        };
-        cols.iter().map(|&c| codec.decode_col(buf, c)).collect()
-    }
 }
 
 /// Gathered operation codes: the raw `Char(1)` byte widened to `i64`
@@ -382,9 +219,8 @@ struct FilterPlan {
 /// Batched Table 1 evaluator over gathered version columns, plus a
 /// plan-compiled decoder for the selected records.
 ///
-/// Built once per scan from the same `(ExtLayout, RowCodec)` pair as
-/// [`ByteScanner`]; `Sync`, so one instance serves every worker of a
-/// parallel scan. The two-phase shape — classify the whole page into a
+/// Built once per scan from an `(ExtLayout, RowCodec)` pair; `Sync`, so
+/// one instance serves every worker of a parallel scan. The two-phase shape — classify the whole page into a
 /// bitmap, then decode only selected records — is what lets full-scan
 /// consumers that never materialize rows (`COUNT(*)`, selectivity probes)
 /// skip decoding entirely.
@@ -438,8 +274,8 @@ impl BatchScanner {
     /// demoted to [`Classified::Ignore`] during classification, before any
     /// decode. Expiration detection is unaffected — an expired tuple still
     /// reports [`Classified::Expired`] whether or not a filter would have
-    /// dropped it, matching the scalar pipeline (which extracts before it
-    /// filters).
+    /// dropped it, matching the reference order (extract first, then
+    /// filter).
     pub fn new_sparse_filtered(
         layout: &ExtLayout,
         codec: &RowCodec,
@@ -540,7 +376,7 @@ impl BatchScanner {
     /// Classify every record of `batch` — Table 1 / §5 evaluated over the
     /// gathered version columns into `out`. The slot walk is evaluated
     /// with mask/select arithmetic only (no data-dependent branches): a
-    /// `contiguous` mask reproduces the scalar path's stop-at-first-empty
+    /// `contiguous` mask reproduces `extract`'s stop-at-first-empty
     /// rule, and running accumulators carry `j*`, its operation code, and
     /// the oldest recorded VN so no gathered array is indexed by a
     /// data-dependent subscript.
@@ -610,8 +446,7 @@ impl BatchScanner {
             // version-visible filter image fails any filter (or is NULL —
             // the SQL conjunct would be unknown, not TRUE) is demoted to
             // Ignore before decode. Expired stays Expired: expiration is a
-            // visibility fact, and the scalar pipeline raises it before
-            // its executor ever sees the predicate.
+            // visibility fact, raised before any predicate is evaluated.
             let code = match code {
                 Classified::Current | Classified::Pre(_) if !self.filters.is_empty() => {
                     let image = match code {
@@ -769,34 +604,22 @@ mod tests {
         verdict.unwrap()
     }
 
-    /// Assert the byte path *and* the batch path agree with the reference
-    /// `extract` for one extended row across a range of session versions.
+    /// Assert the batch path agrees with the reference `extract` for one
+    /// extended row across a range of session versions.
     fn assert_agrees(l: &ExtLayout, ext: &Row, vns: impl Iterator<Item = VersionNo>) {
         let c = codec(l);
-        let scanner = ByteScanner::new(l, &c, None);
         let batched = BatchScanner::new(l, &c, None);
         let buf = c.encode(ext).unwrap();
         for vn in vns {
             let reference = extract(l, ext, vn);
-            let classified = scanner.classify(&buf, vn);
-            let (batch_code, batch_row) = batch_verdict(&batched, &buf, vn);
-            assert_eq!(
-                classified, batch_code,
-                "batch verdict diverges from byte path at sessionVN {vn}"
-            );
-            match (&reference, classified) {
+            let (code, row) = batch_verdict(&batched, &buf, vn);
+            match (&reference, code) {
                 (Visible::Ignore, Classified::Ignore) => {}
                 (Visible::Expired, Classified::Expired) => {}
-                (Visible::Row(want), which @ (Classified::Current | Classified::Pre(_))) => {
-                    let got = scanner.decode_visible(&c, &buf, which).unwrap();
-                    assert_eq!(&got, want, "row mismatch at sessionVN {vn}");
-                    assert_eq!(
-                        batch_row.as_ref(),
-                        Some(want),
-                        "batch decode mismatch at sessionVN {vn}"
-                    );
+                (Visible::Row(want), Classified::Current | Classified::Pre(_)) => {
+                    assert_eq!(row.as_ref(), Some(want), "row mismatch at sessionVN {vn}");
                 }
-                _ => panic!("vn {vn}: reference {reference:?} vs byte path {classified:?}"),
+                _ => panic!("vn {vn}: reference {reference:?} vs batch path {code:?}"),
             }
         }
     }
@@ -815,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_path_matches_reference_on_figure_4() {
+    fn batch_path_matches_reference_on_figure_4() {
         let l = layout(2);
         let rows = vec![
             row2(
@@ -861,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_path_matches_reference_on_figure_7() {
+    fn batch_path_matches_reference_on_figure_7() {
         // Figure 7 under 4VNL: insert at VN 3, update at VN 5, delete at VN 6.
         let l = layout(4);
         let mut ext = vec![Value::Null; l.ext_schema().arity()];
@@ -891,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_path_matches_reference_on_random_histories() {
+    fn batch_path_matches_reference_on_random_histories() {
         // Randomized tuple histories under n ∈ {2, 3, 4}: build a plausible
         // slot stack (descending VNs, newest first, oldest may be an insert)
         // and check every sessionVN around it.
@@ -940,7 +763,7 @@ mod tests {
         let l = layout(2);
         let c = codec(&l);
         // Project (total_sales, city) — reversed order, updatable + not.
-        let scanner = ByteScanner::new(&l, &c, Some(&[4, 0]));
+        let scanner = BatchScanner::new(&l, &c, Some(&[4, 0]));
         let current = row2(
             4,
             "u",
@@ -952,16 +775,19 @@ mod tests {
         );
         let buf = c.encode(&current).unwrap();
         // Current view: post-update total_sales.
-        let got = scanner
-            .decode_visible(&c, &buf, Classified::Current)
-            .unwrap();
-        assert_eq!(got, vec![Value::from(12_000), Value::from("Berkeley")]);
+        let (code, row) = batch_verdict(&scanner, &buf, 4);
+        assert_eq!(code, Classified::Current);
+        assert_eq!(
+            row.unwrap(),
+            vec![Value::from(12_000), Value::from("Berkeley")]
+        );
         // Pre-update view: the updatable column swaps to its pre copy.
-        assert_eq!(scanner.classify(&buf, 3), Classified::Pre(0));
-        let got = scanner
-            .decode_visible(&c, &buf, Classified::Pre(0))
-            .unwrap();
-        assert_eq!(got, vec![Value::from(10_000), Value::from("Berkeley")]);
+        let (code, row) = batch_verdict(&scanner, &buf, 3);
+        assert_eq!(code, Classified::Pre(0));
+        assert_eq!(
+            row.unwrap(),
+            vec![Value::from(10_000), Value::from("Berkeley")]
+        );
     }
 
     #[test]
@@ -1194,8 +1020,8 @@ mod tests {
     #[test]
     fn pushed_filters_do_not_mask_expiration() {
         // A tuple whose needed version was pushed out must still classify
-        // Expired even when a filter would have rejected it — the scalar
-        // pipeline raises expiration before its executor sees a predicate.
+        // Expired even when a filter would have rejected it — the reference
+        // extracts (and so expires) before any predicate is evaluated.
         let l = layout(2);
         let c = codec(&l);
         let filter = ColumnFilter {

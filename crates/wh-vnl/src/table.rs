@@ -503,137 +503,15 @@ impl VnlTable {
         Ok(resolved)
     }
 
-    /// Scan all tuples as seen by `session_vn`. Errs with
-    /// [`VnlError::SessionExpired`] on the first tuple that proves the
-    /// session expired (the per-tuple detector of §3.2).
-    pub(crate) fn scan_visible(&self, session_vn: VersionNo) -> VnlResult<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_visible_with(session_vn, None, |row| {
-            out.push(row);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Streaming visitor scan of the tuples visible to `session_vn` through
-    /// the byte-level Table 1 classifier ([`crate::scan::ByteScanner`]):
-    /// invisible tuples are skipped before any row decode, and only the
-    /// `projection` base columns (all when `None`) are materialized. Stops
-    /// at the first expired tuple or visitor error.
-    pub(crate) fn scan_visible_with<F>(
-        &self,
-        session_vn: VersionNo,
-        projection: Option<&[usize]>,
-        mut visit: F,
-    ) -> VnlResult<()>
-    where
-        F: FnMut(Row) -> VnlResult<()>,
-    {
-        let codec = self.storage.codec();
-        let scanner = crate::scan::ByteScanner::new(&self.layout, codec, projection);
-        let _pin = self.epochs.pin();
-        let mut failure: Option<VnlError> = None;
-        let res = self.storage.heap().scan(|_, buf| {
-            match scanner.classify(buf, session_vn) {
-                crate::scan::Classified::Ignore => return Ok(()),
-                crate::scan::Classified::Expired => {
-                    failure = Some(self.expired_error(session_vn));
-                }
-                which => match scanner.decode_visible(codec, buf, which) {
-                    Ok(row) => {
-                        if let Err(e) = visit(row) {
-                            failure = Some(e);
-                        }
-                    }
-                    Err(e) => failure = Some(e.into()),
-                },
-            }
-            if failure.is_some() {
-                Err(wh_storage::StorageError::ScanAborted)
-            } else {
-                Ok(())
-            }
-        });
-        self.settle_scan(res, failure)?;
-        self.fence_check(session_vn)
-    }
-
-    /// Parallel twin of [`VnlTable::scan_visible_with`]: partitions the heap
-    /// into contiguous page ranges scanned by `threads` workers
-    /// ([`wh_storage::HeapFile::scan_parallel`]). `visit(worker, row)` runs
-    /// on worker threads; the first failure (expiration, decode error, or
-    /// visitor error) aborts all partitions. Which worker sees which tuple
-    /// is deterministic for a fixed heap, but call interleaving is not — the
-    /// visitor must not rely on ordering.
-    pub(crate) fn scan_visible_parallel<F>(
-        &self,
-        threads: usize,
-        session_vn: VersionNo,
-        projection: Option<&[usize]>,
-        visit: F,
-    ) -> VnlResult<()>
-    where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
-    {
-        let codec = self.storage.codec();
-        let scanner = crate::scan::ByteScanner::new(&self.layout, codec, projection);
-        // One pin covers every worker: it is held by the coordinator for
-        // the whole parallel scan, so any RID a worker observes stays
-        // un-reused until the scan returns.
-        let _pin = self.epochs.pin();
-        let failure: Mutex<Option<VnlError>> = Mutex::new(None);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let fail = |e: VnlError| {
-            let mut slot = failure
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            failed.store(true, Ordering::Release); // ordering: scan-abort Release — publishes the stashed error before the flag its reader Acquires
-        };
-        let res = self
-            .storage
-            .heap()
-            .scan_parallel(threads, |worker, _, buf| {
-                match scanner.classify(buf, session_vn) {
-                    crate::scan::Classified::Ignore => {}
-                    crate::scan::Classified::Expired => {
-                        fail(self.expired_error(session_vn));
-                    }
-                    which => match scanner.decode_visible(codec, buf, which) {
-                        Ok(row) => {
-                            if let Err(e) = visit(worker, row) {
-                                fail(e);
-                            }
-                        }
-                        Err(e) => fail(e.into()),
-                    },
-                }
-                // ordering: scan-abort Acquire — pairs with the workers' Release store publishing the stashed error
-                if failed.load(Ordering::Acquire) {
-                    Err(wh_storage::StorageError::ScanAborted)
-                } else {
-                    Ok(())
-                }
-            });
-        self.settle_scan(
-            res,
-            failure
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )?;
-        self.fence_check(session_vn)
-    }
-
-    /// Batched twin of [`VnlTable::scan_visible_with`], driven by a
-    /// prebuilt [`crate::scan::BatchScanner`]: the heap copies each page's
-    /// live records out under a short latch hold and gathers their version
-    /// fields into column-strided arrays, the scanner classifies the whole
-    /// page branch-free into a selection bitmap, and only selected records
-    /// are decoded. Same Table 1 semantics (including per-tuple expiration)
-    /// as the scalar path — the property tests in [`crate::scan`] hold the
-    /// two to exact agreement.
+    /// Streaming visitor scan of the tuples visible to `session_vn`, driven
+    /// by a prebuilt [`crate::scan::BatchScanner`]: the heap copies each
+    /// page's live records out under a short latch hold and gathers their
+    /// version fields into column-strided arrays, the scanner classifies
+    /// the whole page branch-free into a selection bitmap, and only
+    /// selected records are decoded. Table 1 semantics, including
+    /// per-tuple expiration, are exactly [`crate::visibility::extract`]'s —
+    /// the property tests in [`crate::scan`] hold the two to agreement.
+    /// Stops at the first expired tuple or visitor error.
     pub(crate) fn scan_visible_batched<F>(
         &self,
         scanner: &crate::scan::BatchScanner,
@@ -676,9 +554,13 @@ impl VnlTable {
         self.fence_check(session_vn)
     }
 
-    /// Parallel twin of [`VnlTable::scan_visible_batched`]: contiguous page
-    /// partitions, one batch in flight per worker, first failure aborts all
-    /// partitions (same contract as [`VnlTable::scan_visible_parallel`]).
+    /// Parallel twin of [`VnlTable::scan_visible_batched`]: the heap is
+    /// split into contiguous page ranges, one per worker, with one batch in
+    /// flight per worker. `visit(worker, row)` runs on worker threads; the
+    /// first failure (expiration, decode error, or visitor error) aborts all
+    /// partitions. Which worker sees which tuple is deterministic for a
+    /// fixed heap, but call interleaving is not — the visitor must not rely
+    /// on ordering.
     pub(crate) fn scan_visible_batched_parallel<F>(
         &self,
         threads: usize,
@@ -689,8 +571,9 @@ impl VnlTable {
     where
         F: Fn(usize, Row) -> VnlResult<()> + Sync,
     {
-        // One pin covers every worker, exactly as in the scalar parallel
-        // scan.
+        // One pin covers every worker: it is held by the coordinator for
+        // the whole parallel scan, so any RID a worker observes stays
+        // un-reused until the scan returns.
         let _pin = self.epochs.pin();
         // One interning pool per worker, locked once per batch — the lock
         // is uncontended (each worker only ever takes its own) but keeps

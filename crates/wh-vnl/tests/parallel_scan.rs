@@ -1,7 +1,7 @@
-//! The parallel partitioned scan pipeline must be *indistinguishable* from
-//! the serial one: same Table 1 semantics at every live sessionVN, same
-//! rows, same expiration behavior — under random histories and under
-//! concurrent maintenance and GC.
+//! The serial and parallel partitioned scans must be *indistinguishable*
+//! from the Table 1 spec (`visibility::extract` over the raw heap): same
+//! rows at every live sessionVN, same expiration behavior — under random
+//! histories and under concurrent maintenance and GC.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -9,7 +9,8 @@ use std::sync::Mutex;
 use wh_sql::Params;
 use wh_types::rng::SplitMix64;
 use wh_types::{Column, DataType, Row, Schema, Value};
-use wh_vnl::{gc, ScanPipeline, VnlError, VnlTable};
+use wh_vnl::visibility::{extract, Visible};
+use wh_vnl::{gc, VersionNo, VnlError, VnlTable};
 
 fn kv_schema() -> Schema {
     Schema::with_key_names(
@@ -33,6 +34,20 @@ fn canon(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
+/// The reference: Table 1 applied tuple by tuple to the raw extended heap.
+/// `None` when some tuple proves the session at `vn` expired.
+fn reference_scan(t: &VnlTable, vn: VersionNo) -> Option<Vec<Row>> {
+    let mut rows = Vec::new();
+    for (_, ext) in t.scan_raw().unwrap() {
+        match extract(t.layout(), &ext, vn) {
+            Visible::Row(r) => rows.push(r),
+            Visible::Ignore => {}
+            Visible::Expired => return None,
+        }
+    }
+    Some(rows)
+}
+
 /// Collect a parallel scan's rows (any interleaving) into one Vec.
 fn collect_parallel(s: &wh_vnl::ReaderSession<'_>, threads: usize) -> Result<Vec<Row>, VnlError> {
     let rows = Mutex::new(Vec::new());
@@ -45,8 +60,9 @@ fn collect_parallel(s: &wh_vnl::ReaderSession<'_>, threads: usize) -> Result<Vec
 
 /// Drive `generations` random maintenance transactions over an nVNL table,
 /// pinning a session at every version along the way, then check that for
-/// every still-live session the parallel scan (at several thread counts)
-/// returns exactly the serial scan's rows — projected variants included.
+/// every session the serial scan and the parallel scan (at several thread
+/// counts) return exactly the reference rows — projected variants and SQL
+/// included — or all expire when the reference does.
 fn random_history_agrees(seed: u64, n: usize, generations: usize) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let t = VnlTable::create_named("kv", kv_schema(), n).unwrap();
@@ -71,38 +87,31 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
         sessions.push(t.begin_session());
     }
 
-    for mut s in sessions {
-        // The scalar (byte-at-a-time) pipeline is the oracle; the batched
-        // pipeline must agree with it verdict-for-verdict, rows included.
-        s.set_pipeline(ScanPipeline::Scalar);
-        let serial = match s.scan() {
-            Ok(rows) => rows,
-            Err(VnlError::SessionExpired { .. }) => {
-                // Expired on the scalar path must expire everywhere.
-                s.set_pipeline(ScanPipeline::Batched);
-                assert!(matches!(s.scan(), Err(VnlError::SessionExpired { .. })));
-                assert!(matches!(s.count(), Err(VnlError::SessionExpired { .. })));
-                for threads in [2, 4] {
-                    assert!(matches!(
-                        collect_parallel(&s, threads),
-                        Err(VnlError::SessionExpired { .. })
-                    ));
-                }
-                continue;
+    for s in sessions {
+        // `visibility::extract` over the raw heap is the oracle; the scan
+        // must agree with it verdict-for-verdict, rows included.
+        let Some(expected) = reference_scan(&t, s.session_vn()) else {
+            // Expired per the spec must expire everywhere.
+            assert!(matches!(s.scan(), Err(VnlError::SessionExpired { .. })));
+            assert!(matches!(s.count(), Err(VnlError::SessionExpired { .. })));
+            for threads in [2, 4] {
+                assert!(matches!(
+                    collect_parallel(&s, threads),
+                    Err(VnlError::SessionExpired { .. })
+                ));
             }
-            Err(e) => panic!("serial scan failed: {e}"),
+            continue;
         };
-        let serial_canon = canon(serial.clone());
-        s.set_pipeline(ScanPipeline::Batched);
+        let expected_canon = canon(expected.clone());
         assert_eq!(
             canon(s.scan().unwrap()),
-            serial_canon,
-            "batched scan diverged: seed={seed} n={n} vn={}",
+            expected_canon,
+            "scan diverged from the reference: seed={seed} n={n} vn={}",
             s.session_vn()
         );
         assert_eq!(
             s.count().unwrap() as usize,
-            serial.len(),
+            expected.len(),
             "classify-only count diverged: seed={seed} n={n} vn={}",
             s.session_vn()
         );
@@ -110,7 +119,7 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
             let parallel = collect_parallel(&s, threads).unwrap();
             assert_eq!(
                 canon(parallel),
-                serial_canon,
+                expected_canon,
                 "seed={seed} n={n} threads={threads} vn={}",
                 s.session_vn()
             );
@@ -124,44 +133,62 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
         .unwrap();
         assert_eq!(
             canon(v_only),
-            canon(serial.iter().map(|r| vec![r[1].clone()]).collect())
+            canon(expected.iter().map(|r| vec![r[1].clone()]).collect())
         );
         let reordered = s.scan_projected(&[1, 0]).unwrap();
         assert_eq!(
             canon(reordered),
             canon(
-                serial
+                expected
                     .iter()
                     .map(|r| vec![r[1].clone(), r[0].clone()])
                     .collect()
             )
         );
-        // The SQL paths agree too: serial executor vs parallel executor.
+        // The SQL paths agree too: serial and parallel executor against
+        // aggregates of the reference rows.
         let q = "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM kv";
+        let vs: Vec<i64> = expected.iter().map(|r| r[1].as_int().unwrap()).collect();
+        let or_null = |v: Option<i64>| v.map_or(Value::Null, Value::from);
+        let want = vec![vec![
+            Value::from(vs.len() as i64),
+            or_null((!vs.is_empty()).then(|| vs.iter().sum())),
+            or_null(vs.iter().copied().min()),
+            or_null(vs.iter().copied().max()),
+        ]];
         assert_eq!(
-            s.query(q).unwrap(),
-            s.query_parallel(q, 4).unwrap(),
+            s.query(q).unwrap().rows,
+            want,
             "seed={seed} vn={}",
             s.session_vn()
         );
-        // WHERE pushdown: on the batched pipeline both conjuncts run
-        // inside the classify kernel (v is updatable, so Pre(j) records
-        // test their pre-update image); the scalar pipeline evaluates the
-        // same predicate in the executor. Row sets must match exactly.
+        assert_eq!(
+            s.query_parallel(q, 4).unwrap().rows,
+            want,
+            "seed={seed} vn={}",
+            s.session_vn()
+        );
+        // WHERE pushdown: both conjuncts run inside the classify kernel
+        // (v is updatable, so Pre(j) records test their pre-update image);
+        // the reference filters the spec's rows. Row sets must match
+        // exactly.
         let filtered = "SELECT k, v FROM kv WHERE v >= 3 AND k < 30";
         let pushed_serial = s.query(filtered).unwrap();
         let pushed_parallel = s.query_parallel(filtered, 4).unwrap();
-        s.set_pipeline(ScanPipeline::Scalar);
-        let oracle = s.query(filtered).unwrap();
+        let oracle: Vec<Row> = expected
+            .iter()
+            .filter(|r| r[1].as_int().unwrap() >= 3 && r[0].as_int().unwrap() < 30)
+            .cloned()
+            .collect();
         assert_eq!(
             canon(pushed_serial.rows),
-            canon(oracle.rows.clone()),
+            canon(oracle.clone()),
             "pushdown diverged: seed={seed} n={n} vn={}",
             s.session_vn()
         );
         assert_eq!(
             canon(pushed_parallel.rows),
-            canon(oracle.rows),
+            canon(oracle),
             "parallel pushdown diverged: seed={seed} n={n} vn={}",
             s.session_vn()
         );
