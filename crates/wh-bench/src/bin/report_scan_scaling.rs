@@ -54,7 +54,7 @@ impl Config {
                 cities: 25,
                 lines: 8,
                 days: 50,
-                repeats: 21,
+                repeats: 41,
                 quick,
             }
         } else {
@@ -135,7 +135,11 @@ struct Measurement {
 /// Time `repeats` rounds of `probe`, each back to back with `reference`
 /// (alternating which goes first), so a host that slows down mid-run moves
 /// both sides of a round alike; the per-round ratio is what the gate reads.
+/// One untimed round first lets lazy set-up (allocator arenas, first-touch
+/// pages at a new thread count) finish outside the timings.
 fn paired(repeats: usize, reference: &mut dyn FnMut(), probe: &mut dyn FnMut()) -> (f64, f64, f64) {
+    reference();
+    probe();
     let (mut probes, mut references) = (Vec::new(), Vec::new());
     for round in 0..repeats {
         if round % 2 == 0 {
