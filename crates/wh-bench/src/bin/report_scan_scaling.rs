@@ -24,8 +24,8 @@
 //! yardstick rather than raw milliseconds across machines.
 //!
 //! Writes machine-readable results to `BENCH_scan.json` (override with
-//! `WH_BENCH_OUT`). `WH_BENCH_QUICK=1` shrinks the relation and repeat
-//! count for CI smoke runs.
+//! `WH_BENCH_OUT`). `WH_BENCH_QUICK=1` shrinks the relation for CI smoke
+//! runs and times more rounds of it, so the gated ratios stay steady.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -50,6 +50,8 @@ impl Config {
         let quick = std::env::var("WH_BENCH_QUICK").is_ok();
         if quick {
             // 25 x 8 x 50 = 10k rows: enough pages to partition, fast in CI.
+            // 41 paired rounds keep the gated ratios' run-to-run spread
+            // within ~1.2x on a shared 2-vCPU host (EXPERIMENTS.md E22).
             Config {
                 cities: 25,
                 lines: 8,
