@@ -11,7 +11,10 @@
 //! `query_stmt`, `query_stmt_parallel` at 2, 4 and 8 threads, and the §4
 //! CASE rewrite (`query_via_rewrite`), on sessions pinned at older VNs
 //! while an uncommitted maintenance transaction holds double-slotted
-//! tuples.
+//! tuples. Once that transaction commits, every expired session is
+//! repaired forward with [`RepairEngine::query_at_current`], and each
+//! repaired answer must equal a fresh session's `query_stmt` (the restart
+//! path) and the reference at the repaired VN.
 //!
 //! Float columns only ever hold multiples of 0.25 with small magnitude, so
 //! their sums are exact whatever the association; floats are still
@@ -27,7 +30,7 @@ use wh_sql::{
 use wh_types::rng::SplitMix64;
 use wh_types::{Column, DataType, Date, Row, Schema, Value};
 use wh_vnl::visibility::{extract, Visible};
-use wh_vnl::{ReadOutcome, ReaderSession, VersionNo, VnlError, VnlTable};
+use wh_vnl::{ReadOutcome, ReaderSession, RepairEngine, VersionNo, VnlError, VnlTable};
 
 /// Relative tolerance for floating-point SUM/AVG (addition reassociates
 /// across parallel partitions).
@@ -310,6 +313,18 @@ fn assert_same_rows(want: &QueryResult, got: &QueryResult, what: &str) {
             "{what}: row {i} differs\nwant {w:?}\ngot  {g:?}"
         );
     }
+}
+
+/// Rows in a canonical order, so results compare as multisets.
+fn canonical(mut result: QueryResult) -> QueryResult {
+    result.rows.sort_by(|a, b| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.grouping_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    result
 }
 
 // ---------------------------------------------------------------------
@@ -644,10 +659,79 @@ fn check_session(
     (compared, usize::from(visible.is_none()))
 }
 
+/// `stmt` with its ORDER BY made total: repair folds rows in key order
+/// and a session in heap order, so ties may legitimately break
+/// differently. The key (plain queries) or every grouping column
+/// (aggregates) breaks them.
+fn with_total_order(stmt: &SelectStmt) -> SelectStmt {
+    let mut stmt = stmt.clone();
+    if !stmt.order_by.is_empty() {
+        let ties = if is_aggregate(&stmt) {
+            stmt.group_by.clone()
+        } else {
+            vec![col("k")]
+        };
+        stmt.order_by
+            .extend(ties.into_iter().map(|expr| OrderKey { expr, asc: true }));
+    }
+    stmt
+}
+
+/// The repair arm: repair each expired session forward to `currentVN` and
+/// compare with a fresh session and the reference there. Queries with
+/// ORDER BY compare in order, the rest as multisets; LIMIT without ORDER
+/// BY is skipped, since which rows it keeps depends on scan order.
+fn check_repair(
+    t: &VnlTable,
+    sessions: &[ReaderSession<'_>],
+    queries: &[SelectStmt],
+    ctx: &str,
+) -> usize {
+    let engine = RepairEngine::new(t);
+    let fresh = t.begin_session();
+    let vn = fresh.session_vn();
+    let visible = visible_rows(t, vn).expect("a fresh session sees every tuple");
+    let mut repaired = 0;
+    for s in sessions
+        .iter()
+        .filter(|s| s.status() == ReadOutcome::Expired)
+    {
+        for stmt in queries {
+            if stmt.limit.is_some() && stmt.order_by.is_empty() {
+                continue;
+            }
+            let stmt = with_total_order(stmt);
+            let what = format!("{ctx} repair {} -> {vn}: {stmt}", s.session_vn());
+            let Some((got, at)) = engine
+                .query_at_current(s.session_vn(), &stmt, &Params::new())
+                .unwrap()
+            else {
+                continue;
+            };
+            assert_eq!(at, vn, "{what}: repaired to the wrong VN");
+            let want = reference(t.layout().base_schema(), &stmt, visible.clone());
+            let restarted = fresh.query_stmt(&stmt).unwrap();
+            if stmt.order_by.is_empty() {
+                let want = canonical(want);
+                assert_same(&want, &canonical(got), &format!("{what} [repaired]"));
+                assert_same(&want, &canonical(restarted), &format!("{what} [restarted]"));
+            } else {
+                assert_same(&want, &got, &format!("{what} [repaired]"));
+                assert_same(&want, &restarted, &format!("{what} [restarted]"));
+            }
+            repaired += 1;
+        }
+    }
+    fresh.finish();
+    repaired
+}
+
 /// Build a history of committed maintenance generations with a session
 /// pinned at each, open one more maintenance transaction that updates,
-/// deletes and inserts without committing, and check every pinned session.
-fn oracle_agrees(seed: u64, n: usize, generations: usize, queries: usize) -> (usize, usize) {
+/// deletes and inserts without committing, and check every pinned session;
+/// then commit it and check the repair arm. Returns the counts of live
+/// comparisons, expired sessions and repaired answers.
+fn oracle_agrees(seed: u64, n: usize, generations: usize, queries: usize) -> (usize, usize, usize) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let t = VnlTable::create_named("t", schema(), n).unwrap();
     let initial: Vec<Row> = (0..KEYS)
@@ -681,13 +765,15 @@ fn oracle_agrees(seed: u64, n: usize, generations: usize, queries: usize) -> (us
     let stmts: Vec<SelectStmt> = (0..queries).map(|_| random_select(&mut rng)).collect();
     let in_flight = t.begin_maintenance().unwrap();
     mutate(&mut rng, &in_flight);
-    let mut totals = (0, 0);
+    let mut totals = (0, 0, 0);
+    let ctx = format!("seed={seed:#x} n={n}");
     for s in &sessions {
-        let (compared, expired) = check_session(&t, s, &stmts, &format!("seed={seed:#x} n={n}"));
+        let (compared, expired) = check_session(&t, s, &stmts, &ctx);
         totals.0 += compared;
         totals.1 += expired;
     }
     in_flight.commit().unwrap();
+    totals.2 = check_repair(&t, &sessions, &stmts, &ctx);
     for s in sessions {
         s.finish();
     }
@@ -696,25 +782,32 @@ fn oracle_agrees(seed: u64, n: usize, generations: usize, queries: usize) -> (us
 
 #[test]
 fn every_query_path_matches_the_reference_under_2vnl() {
-    let mut compared = 0;
+    let (mut compared, mut repaired) = (0, 0);
     for seed in 0..4 {
-        compared += oracle_agrees(0x0AC1_E000 + seed, 2, 3, 40).0;
+        let (c, _, r) = oracle_agrees(0x0AC1_E000 + seed, 2, 3, 40);
+        compared += c;
+        repaired += r;
     }
     // Under 2VNL only the newest sessions stay consistent; they must still
     // have carried real comparisons.
     assert!(compared >= 100, "too few live comparisons: {compared}");
+    // Every older session expired; repair must have answered for them.
+    assert!(repaired >= 300, "too few repaired answers: {repaired}");
 }
 
 #[test]
 fn every_query_path_matches_the_reference_under_nvnl() {
-    let (mut compared, mut expired) = (0, 0);
+    let (mut compared, mut expired, mut repaired) = (0, 0, 0);
     for (seed, n) in [(1u64, 3usize), (2, 3), (3, 4)] {
-        let (c, e) = oracle_agrees(0x0AC1_F000 + seed, n, 4, 40);
+        let (c, e, r) = oracle_agrees(0x0AC1_F000 + seed, n, 4, 40);
         compared += c;
         expired += e;
+        repaired += r;
     }
+
     assert!(compared >= 200, "too few live comparisons: {compared}");
     // The oldest sessions fall out of the version window: the expiration
     // arm must have been exercised too.
     assert!(expired >= 1, "no session expired");
+    assert!(repaired >= 200, "too few repaired answers: {repaired}");
 }
