@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use wh_bench::json::{self, Json};
-use wh_bench::print_table;
+use wh_bench::{median_ms, print_table};
 use wh_types::{Column, DataType, Row, Schema, Value};
 use wh_vnl::{checkpoint, create_durable, recover_from_disk, VnlTable};
 
@@ -48,19 +48,6 @@ fn initial_rows(n_tuples: i64) -> Vec<Row> {
     (0..n_tuples)
         .map(|k| vec![Value::from(k), Value::from(k)])
         .collect()
-}
-
-/// Median of `runs` timed executions of `f`, in milliseconds.
-fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 fn count_rows(table: &VnlTable) -> u64 {

@@ -31,106 +31,14 @@
 //! overrides the 5% gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 use wh_bench::json::{self, Json};
-use wh_bench::{all_schemes, mixed_run, print_table};
+use wh_bench::{
+    all_schemes, best_ms, check_overhead, merge_prior_probes, mixed_run, print_table, sale_dates,
+    OverheadConfig,
+};
 use wh_sql::Params;
-use wh_types::schema::daily_sales_schema;
-use wh_types::{Date, Value};
+use wh_types::Value;
 use wh_vnl::VnlTable;
-
-struct Config {
-    cities: usize,
-    lines: usize,
-    days: usize,
-    scan_repeats: usize,
-    maintenance_rounds: usize,
-    reader_threads: usize,
-    quick: bool,
-}
-
-impl Config {
-    fn from_env() -> Config {
-        let quick = std::env::var("WH_BENCH_QUICK").is_ok();
-        if quick {
-            Config {
-                cities: 25,
-                lines: 8,
-                days: 50,
-                scan_repeats: 15,
-                maintenance_rounds: 4,
-                reader_threads: 2,
-                quick,
-            }
-        } else {
-            Config {
-                cities: 125,
-                lines: 16,
-                days: 50,
-                scan_repeats: 15,
-                maintenance_rounds: 8,
-                reader_threads: 4,
-                quick,
-            }
-        }
-    }
-
-    fn rows(&self) -> usize {
-        self.cities * self.lines * self.days
-    }
-}
-
-fn dates(days: usize) -> Vec<Date> {
-    (0..days)
-        .map(|d| {
-            if d < 25 {
-                Date::ymd(1996, 10, (d + 1) as u8)
-            } else {
-                Date::ymd(1996, 11, (d - 25 + 1) as u8)
-            }
-        })
-        .collect()
-}
-
-fn build_table(cfg: &Config) -> VnlTable {
-    let t =
-        VnlTable::create_named("DailySales", daily_sales_schema(), 2).expect("create DailySales");
-    let dates = dates(cfg.days);
-    let mut rows = Vec::with_capacity(cfg.rows());
-    for c in 0..cfg.cities {
-        for l in 0..cfg.lines {
-            for d in &dates {
-                rows.push(vec![
-                    Value::from(format!("City-{c:03}").as_str()),
-                    Value::from("CA"),
-                    Value::from(format!("line-{l:02}").as_str()),
-                    Value::from(*d),
-                    Value::from(((c * 7 + l * 13) % 100) as i64 * 100),
-                ]);
-            }
-        }
-    }
-    t.load_initial(&rows).expect("load DailySales");
-    t
-}
-
-/// Best (minimum) wall-clock milliseconds of `repeats` runs of `f`, after
-/// two discarded warmup runs. The overhead gate compares two separate
-/// process invocations on a possibly noisy CI box; the minimum is the
-/// standard noise-robust estimator for "how fast can this code go", where a
-/// median still jitters by several percent run to run.
-fn best_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..2 {
-        f();
-    }
-    (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// The overhead-gate probes: six independent hot loops over the quiescent
 /// relation, each reported as its best-of-N wall clock.
@@ -143,7 +51,7 @@ fn best_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
 /// probe's alignment luck is independent, so the gate compares the
 /// geometric mean of the per-probe ratios, which converges on the true
 /// instrumentation overhead instead of one loop's placement.
-fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
+fn overhead_probes(table: &VnlTable, cfg: &OverheadConfig) -> Vec<(&'static str, f64)> {
     let rows = cfg.rows();
     let session = table.begin_session();
 
@@ -172,7 +80,7 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
     });
 
     // Point reads: the first day of one product line in every city.
-    let first_day = dates(cfg.days)[0];
+    let first_day = sale_dates(cfg.days)[0];
     let keys: Vec<Vec<Value>> = (0..cfg.cities)
         .map(|c| {
             vec![
@@ -246,7 +154,10 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
 /// expiration) while maintenance commits `rounds` of updates plus a
 /// delete/re-insert churn that leaves logically-deleted tuples for the GC
 /// collector sweeping alongside. Returns (reads_ok, sessions, commits).
-fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (u64, u64, u64) {
+fn reader_maintenance_phase(
+    table: &std::sync::Arc<VnlTable>,
+    cfg: &OverheadConfig,
+) -> (u64, u64, u64) {
     let reads_ok = AtomicU64::new(0);
     let sessions = AtomicU64::new(0);
     let commits = AtomicU64::new(0);
@@ -284,7 +195,7 @@ fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (
                 // then restore the city so the next rounds see full size.
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 let txn = table.begin_maintenance().expect("begin maintenance");
-                let dates = dates(cfg.days);
+                let dates = sale_dates(cfg.days);
                 for l in 0..cfg.lines {
                     for d in &dates {
                         txn.insert(vec![
@@ -337,19 +248,6 @@ fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (
     )
 }
 
-/// `"name": value` pulled out of a rendered JSON document by string search —
-/// the repo has no JSON parser dependency, and the documents are written by
-/// our own `wh_bench::json` with a stable `"key": value` shape.
-fn extract_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn hist_row(snap: &wh_obs::registry::Snapshot, name: &str) -> Vec<String> {
     let h = snap.histogram(name);
     vec![
@@ -371,7 +269,7 @@ fn main() {
     let probes_only = args.iter().any(|a| a == "--probes-only");
     let merge_probes = args.iter().any(|a| a == "--merge-probes");
 
-    let cfg = Config::from_env();
+    let cfg = OverheadConfig::from_env();
     println!(
         "E20: observability under the E18 workload ({} rows{}; metrics {})\n",
         cfg.rows(),
@@ -383,17 +281,13 @@ fn main() {
         }
     );
 
-    let table = std::sync::Arc::new(build_table(&cfg));
+    let table = std::sync::Arc::new(cfg.build_table());
 
     // Phase 1: the overhead-gate probes on the quiescent relation.
     let mut probes = overhead_probes(&table, &cfg);
     if merge_probes {
         if let Ok(prev) = std::fs::read_to_string(json::out_path("BENCH_obs.json")) {
-            for (name, ms) in &mut probes {
-                if let Some(old) = extract_number(&prev, name) {
-                    *ms = ms.min(old);
-                }
-            }
+            merge_prior_probes(&prev, &mut probes);
         }
     }
     println!(
@@ -426,7 +320,12 @@ fn main() {
             ),
         ]);
         json::write_report("BENCH_obs.json", &doc);
-        check_overhead(baseline.as_deref(), &probes);
+        check_overhead(
+            baseline.as_deref(),
+            &probes,
+            "WH_OBS_OVERHEAD_PCT",
+            "metrics",
+        );
         return;
     }
 
@@ -523,38 +422,10 @@ fn main() {
     ]);
     json::write_report("BENCH_obs.json", &doc);
 
-    check_overhead(baseline.as_deref(), &probes);
-}
-
-/// Compare this run's probe numbers against a metrics-disabled baseline
-/// JSON and exit nonzero if the geometric-mean overhead exceeds the gate
-/// (`WH_OBS_OVERHEAD_PCT`, default 5%). No-op without a baseline path.
-fn check_overhead(baseline: Option<&str>, probes: &[(&'static str, f64)]) {
-    let Some(path) = baseline else { return };
-    let base_doc =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-    let gate_pct: f64 = std::env::var("WH_OBS_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5.0);
-    println!("\noverhead check (geomean across probes, gate {gate_pct:.1}%):");
-    let mut log_ratio_sum = 0.0;
-    for (name, ms) in probes {
-        let base = extract_number(&base_doc, name)
-            .unwrap_or_else(|| panic!("baseline {path} missing {name}"));
-        let ratio = ms / base;
-        log_ratio_sum += ratio.ln();
-        println!(
-            "  {name:24} {ms:8.3} ms vs {base:8.3} ms ({:+.2}%)",
-            (ratio - 1.0) * 100.0
-        );
-    }
-    let geomean = (log_ratio_sum / probes.len() as f64).exp();
-    let overhead_pct = (geomean - 1.0) * 100.0;
-    println!("  geomean overhead {overhead_pct:+.2}%");
-    if overhead_pct > gate_pct {
-        eprintln!("FAIL: enabled-metrics overhead exceeds the {gate_pct:.1}% gate");
-        std::process::exit(1);
-    }
-    println!("overhead within gate");
+    check_overhead(
+        baseline.as_deref(),
+        &probes,
+        "WH_OBS_OVERHEAD_PCT",
+        "metrics",
+    );
 }

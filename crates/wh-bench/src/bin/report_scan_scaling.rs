@@ -28,12 +28,10 @@
 //! runs and times more rounds of it, so the gated ratios stay steady.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 use wh_bench::json::{self, Json};
-use wh_bench::print_table;
+use wh_bench::{daily_sales_table, median, print_table, time_ms};
 use wh_sql::Params;
-use wh_types::schema::daily_sales_schema;
-use wh_types::{Date, Value};
+use wh_types::Value;
 use wh_vnl::visibility::{extract, Visible};
 use wh_vnl::{ReaderSession, VnlTable};
 
@@ -76,52 +74,6 @@ impl Config {
     }
 }
 
-/// The 50 sale dates: Oct 1–25 and Nov 1–25, 1996 (paper's running window).
-fn dates(days: usize) -> Vec<Date> {
-    (0..days)
-        .map(|d| {
-            if d < 25 {
-                Date::ymd(1996, 10, (d + 1) as u8)
-            } else {
-                Date::ymd(1996, 11, (d - 25 + 1) as u8)
-            }
-        })
-        .collect()
-}
-
-fn build_table(cfg: &Config) -> VnlTable {
-    let t =
-        VnlTable::create_named("DailySales", daily_sales_schema(), 2).expect("create DailySales");
-    let dates = dates(cfg.days);
-    let mut rows = Vec::with_capacity(cfg.rows());
-    for c in 0..cfg.cities {
-        for l in 0..cfg.lines {
-            for d in &dates {
-                rows.push(vec![
-                    Value::from(format!("City-{c:03}").as_str()),
-                    Value::from("CA"),
-                    Value::from(format!("line-{l:02}").as_str()),
-                    Value::from(*d),
-                    Value::from(((c * 7 + l * 13) % 100) as i64 * 100),
-                ]);
-            }
-        }
-    }
-    t.load_initial(&rows).expect("load DailySales");
-    t
-}
-
-fn time_ms(f: &mut dyn FnMut()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 struct Measurement {
     workload: &'static str,
     maintenance_active: bool,
@@ -145,11 +97,11 @@ fn paired(repeats: usize, reference: &mut dyn FnMut(), probe: &mut dyn FnMut()) 
     let (mut probes, mut references) = (Vec::new(), Vec::new());
     for round in 0..repeats {
         if round % 2 == 0 {
-            references.push(time_ms(reference));
-            probes.push(time_ms(probe));
+            references.push(time_ms(&mut *reference));
+            probes.push(time_ms(&mut *probe));
         } else {
-            probes.push(time_ms(probe));
-            references.push(time_ms(reference));
+            probes.push(time_ms(&mut *probe));
+            references.push(time_ms(&mut *reference));
         }
     }
     let ratios = probes.iter().zip(&references).map(|(p, r)| p / r).collect();
@@ -174,7 +126,7 @@ fn reference_scan(table: &VnlTable, session: &ReaderSession<'_>, threads: usize)
     let n = AtomicU64::new(0);
     table
         .storage()
-        .scan_parallel(threads, |_, _, ext| {
+        .scan_parallel(&mut vec![(); threads], |(), _, ext| {
             if visible(&ext) {
                 n.fetch_add(1, Ordering::Relaxed);
             }
@@ -273,7 +225,7 @@ fn main() {
         if cfg.quick { ", quick mode" } else { "" }
     );
 
-    let table = build_table(&cfg);
+    let table = daily_sales_table(cfg.cities, cfg.lines, cfg.days);
     let mut results: Vec<Measurement> = Vec::new();
 
     // Phase 1: quiescent relation, every tuple single-slotted.

@@ -21,7 +21,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wh_cc::{CcError, ConcurrencyScheme, Mv2plStore, S2plStore, TwoV2plStore};
-use wh_vnl::VnlStore;
+use wh_types::schema::daily_sales_schema;
+use wh_types::{Date, Value};
+use wh_vnl::{VnlStore, VnlTable};
 
 /// Default lock-wait timeout for the blocking schemes in experiments.
 pub const LOCK_TIMEOUT: Duration = Duration::from_millis(50);
@@ -196,6 +198,202 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
+}
+
+// ---------------------------------------------------------------------
+// Report-binary harness: the DailySales relation the scan and overhead
+// reports measure, wall-clock estimators, and the E20/E24 overhead gate.
+// ---------------------------------------------------------------------
+
+/// Size and repeat counts of the E20/E24 overhead reports
+/// (`report_obs`, `report_trace`); `WH_BENCH_QUICK=1` selects the small
+/// CI shape.
+pub struct OverheadConfig {
+    /// Cities in the relation.
+    pub cities: usize,
+    /// Product lines per city.
+    pub lines: usize,
+    /// Sale dates per (city, line).
+    pub days: usize,
+    /// Timed runs behind each probe's best-of-N.
+    pub scan_repeats: usize,
+    /// Maintenance rounds in the workload phase.
+    pub maintenance_rounds: usize,
+    /// Reader threads in the workload phase.
+    pub reader_threads: usize,
+    /// Whether `WH_BENCH_QUICK` was set.
+    pub quick: bool,
+}
+
+impl OverheadConfig {
+    /// The shape for this run: 10k rows in quick mode, else 100k.
+    pub fn from_env() -> OverheadConfig {
+        let quick = std::env::var("WH_BENCH_QUICK").is_ok();
+        if quick {
+            OverheadConfig {
+                cities: 25,
+                lines: 8,
+                days: 50,
+                scan_repeats: 15,
+                maintenance_rounds: 4,
+                reader_threads: 2,
+                quick,
+            }
+        } else {
+            OverheadConfig {
+                cities: 125,
+                lines: 16,
+                days: 50,
+                scan_repeats: 15,
+                maintenance_rounds: 8,
+                reader_threads: 4,
+                quick,
+            }
+        }
+    }
+
+    /// Rows in the relation.
+    pub fn rows(&self) -> usize {
+        self.cities * self.lines * self.days
+    }
+
+    /// The loaded DailySales relation of this shape.
+    pub fn build_table(&self) -> VnlTable {
+        daily_sales_table(self.cities, self.lines, self.days)
+    }
+}
+
+/// The first `days` sale dates: Oct 1–25, then Nov 1–25, 1996 (the paper's
+/// running window).
+pub fn sale_dates(days: usize) -> Vec<Date> {
+    (0..days)
+        .map(|d| {
+            if d < 25 {
+                Date::ymd(1996, 10, (d + 1) as u8)
+            } else {
+                Date::ymd(1996, 11, (d - 25 + 1) as u8)
+            }
+        })
+        .collect()
+}
+
+/// A 2VNL DailySales relation (paper Example 2.1) loaded with one row per
+/// (city, product line, date): `cities × lines × days` rows.
+pub fn daily_sales_table(cities: usize, lines: usize, days: usize) -> VnlTable {
+    let t =
+        VnlTable::create_named("DailySales", daily_sales_schema(), 2).expect("create DailySales");
+    let dates = sale_dates(days);
+    let mut rows = Vec::with_capacity(cities * lines * days);
+    for c in 0..cities {
+        for l in 0..lines {
+            for d in &dates {
+                rows.push(vec![
+                    Value::from(format!("City-{c:03}").as_str()),
+                    Value::from("CA"),
+                    Value::from(format!("line-{l:02}").as_str()),
+                    Value::from(*d),
+                    Value::from(((c * 7 + l * 13) % 100) as i64 * 100),
+                ]);
+            }
+        }
+    }
+    t.load_initial(&rows).expect("load DailySales");
+    t
+}
+
+/// Wall-clock milliseconds of one run of `f`.
+pub fn time_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median of `samples` (the upper one for an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median of `runs` timed executions of `f`, in milliseconds.
+pub fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
+    median((0..runs).map(|_| time_ms(&mut f)).collect())
+}
+
+/// Best (minimum) wall-clock milliseconds of `repeats` runs of `f`, after
+/// two discarded warmup runs. The overhead gates compare two separate
+/// process invocations on a possibly noisy CI box; the minimum is the
+/// standard noise-robust estimator for "how fast can this code go", where a
+/// median still jitters by several percent run to run.
+pub fn best_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..2 {
+        f();
+    }
+    (0..repeats)
+        .map(|_| time_ms(&mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `"name": value` pulled out of a rendered JSON document by string search —
+/// the repo has no JSON parser dependency, and the documents are written by
+/// our own [`json`] with a stable `"key": value` shape.
+fn extract_number(doc: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = doc.find(&needle)? + needle.len();
+    let rest = doc[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Fold the probe numbers of a previous invocation's output `doc` into
+/// `probes`, keeping the per-probe minimum.
+pub fn merge_prior_probes(doc: &str, probes: &mut [(&'static str, f64)]) {
+    for (name, ms) in probes {
+        if let Some(old) = extract_number(doc, name) {
+            *ms = ms.min(old);
+        }
+    }
+}
+
+/// Compare this run's probe numbers against an instrumentation-disabled
+/// baseline JSON and exit nonzero if the geometric-mean overhead exceeds
+/// the gate: the percentage in env var `gate_var`, default 5%. `what`
+/// names the instrumentation in the failure line. No-op without a
+/// baseline path.
+pub fn check_overhead(
+    baseline: Option<&str>,
+    probes: &[(&'static str, f64)],
+    gate_var: &str,
+    what: &str,
+) {
+    let Some(path) = baseline else { return };
+    let base_doc =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+    let gate_pct: f64 = std::env::var(gate_var)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(5.0);
+    println!("\noverhead check (geomean across probes, gate {gate_pct:.1}%):");
+    let mut log_ratio_sum = 0.0;
+    for (name, ms) in probes {
+        let base = extract_number(&base_doc, name)
+            .unwrap_or_else(|| panic!("baseline {path} missing {name}"));
+        let ratio = ms / base;
+        log_ratio_sum += ratio.ln();
+        println!(
+            "  {name:24} {ms:8.3} ms vs {base:8.3} ms ({:+.2}%)",
+            (ratio - 1.0) * 100.0
+        );
+    }
+    let geomean = (log_ratio_sum / probes.len() as f64).exp();
+    let overhead_pct = (geomean - 1.0) * 100.0;
+    println!("  geomean overhead {overhead_pct:+.2}%");
+    if overhead_pct > gate_pct {
+        eprintln!("FAIL: enabled-{what} overhead exceeds the {gate_pct:.1}% gate");
+        std::process::exit(1);
+    }
+    println!("overhead within gate");
 }
 
 #[cfg(test)]

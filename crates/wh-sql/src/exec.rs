@@ -1,66 +1,37 @@
 //! Query execution: scan → filter → group/aggregate → project → sort.
 //!
-//! Every SELECT is one **streaming fold**: the executor pulls rows through
-//! [`RowSource::for_each`] and, inside the visitor, applies WHERE, then
-//! either projects the row (plain queries) or folds it into one
-//! accumulator per aggregate call site of its group — so no input row is
-//! ever buffered, and an aggregate query holds only its groups. A
-//! [`ParallelRowSource`] additionally supports partitioned scans;
-//! [`execute_select_parallel`] runs the same fold with one partition state
-//! per worker and merges the partitions at the end.
+//! Every SELECT is one **streaming fold**: the executor hands a
+//! [`RowSource`] one visitor per scan partition and, inside each visitor,
+//! applies WHERE, then either projects the row (plain queries) or folds it
+//! into one accumulator per aggregate call site of its group — so no input
+//! row is ever buffered, and an aggregate query holds only its groups. Each
+//! partition's state is owned by the visitor that folds it; the partitions
+//! merge in order at the end. A serial query is the one-partition case.
 
 use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{EvalContext, Params};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use wh_index::IndexKey;
 use wh_storage::{StorageError, Table};
 use wh_types::{Row, Schema, Value};
 
-/// Acquire a worker-state mutex, recovering from poison: these mutexes only
-/// guard per-worker accumulation buffers, and a panicking worker (e.g. an
-/// injected `Panic` fault below the scan) aborts the whole query anyway, so
-/// surviving workers must not turn one panic into a cascade of them.
-fn lock_state<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `into_inner` twin of [`lock_state`].
-fn unwrap_state<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Anything that can supply a schema and a row scan. Implemented by storage
-/// tables; the 2VNL layer implements it for version-filtered views.
+/// Anything that can supply a schema and a partitioned row scan.
+/// Implemented by storage tables; the 2VNL layer implements it for
+/// version-filtered views.
 pub trait RowSource {
     /// Schema of produced rows.
     fn schema(&self) -> &Schema;
 
-    /// Visit every row in turn. Sources should stream — produce each row
-    /// and hand it to `visit` without materializing the whole relation.
-    fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()>;
-
-    /// Materialize all rows (convenience over [`RowSource::for_each`]).
-    fn scan_rows(&self) -> SqlResult<Vec<Row>> {
-        let mut out = Vec::new();
-        self.for_each(&mut |row| {
-            out.push(row);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-}
-
-/// A [`RowSource`] that can also scan with multiple worker threads over
-/// disjoint partitions. `visit(worker, row)` runs on worker threads; row
-/// order within and across workers is source-defined.
-pub trait ParallelRowSource: RowSource + Sync {
-    /// Visit every row using up to `threads` workers.
-    fn for_each_parallel(
+    /// Visit every row once, through one visitor per scan partition. A
+    /// source that partitions splits its rows into `visitors.len()`
+    /// contiguous ranges in scan order and feeds range `w` to
+    /// `visitors[w]`, possibly on a worker thread; any other source feeds
+    /// every row to `visitors[0]`. Sources should stream — produce each
+    /// row and hand it over without materializing the relation.
+    fn for_each(
         &self,
-        threads: usize,
-        visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
+        visitors: &mut [&mut (dyn FnMut(Row) -> SqlResult<()> + Send)],
     ) -> SqlResult<()>;
 }
 
@@ -81,7 +52,14 @@ impl RowSource for Table {
         Table::schema(self)
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
+    /// One partition: every row goes to the first visitor.
+    fn for_each(
+        &self,
+        visitors: &mut [&mut (dyn FnMut(Row) -> SqlResult<()> + Send)],
+    ) -> SqlResult<()> {
+        let Some(visit) = visitors.first_mut() else {
+            return Ok(());
+        };
         let mut stash: Option<SqlError> = None;
         // lint: allow(epoch-discipline) — scan latches each page internally and the visitor receives owned row copies; no RID or page memory outlives the latch
         let res = self.scan(|_, row| match visit(row) {
@@ -138,50 +116,48 @@ impl QueryResult {
     }
 }
 
-/// Execute a SELECT against `source` with `params` bound: one streaming
-/// fold over [`RowSource::for_each`] into a single partition state.
+/// Execute a SELECT against `source` with `params` bound: the
+/// one-partition case of [`execute_select_parallel`].
 pub fn execute_select(
     source: &dyn RowSource,
     stmt: &SelectStmt,
     params: &Params,
 ) -> SqlResult<QueryResult> {
-    let fold = SelectFold::plan(source.schema(), stmt, params)?;
-    let mut part = Partition::default();
-    let span = wh_obs::trace_span!("sql.exec.scan_fold");
-    let timer = wh_obs::Timer::start();
-    source.for_each(&mut |row| fold.fold(&mut part, row))?;
-    wh_obs::histogram!("sql.exec.scan_fold_ns").record(timer.elapsed_ns());
-    drop(span);
-    fold.finish(vec![part])
+    execute_select_parallel(source, stmt, params, 1)
 }
 
-/// Execute a SELECT against a partitionable source with up to `threads`
-/// workers: the same fold as [`execute_select`], with one partition state
-/// per worker, merged in worker order.
+/// Execute a SELECT against `source` with up to `threads` scan partitions:
+/// one streaming fold per partition, each into its own state, merged in
+/// partition order.
 ///
 /// Partitions are contiguous ranges in scan order, so plain rows come out
 /// in serial order and groups in serial first-seen order; results are
-/// identical to [`execute_select`] except that floating-point SUM/AVG may
-/// differ in the last bits (addition is reassociated across partitions).
+/// identical to the one-partition run except that floating-point SUM/AVG
+/// may differ in the last bits (addition is reassociated across
+/// partitions).
 pub fn execute_select_parallel(
-    source: &dyn ParallelRowSource,
+    source: &dyn RowSource,
     stmt: &SelectStmt,
     params: &Params,
     threads: usize,
 ) -> SqlResult<QueryResult> {
-    if threads <= 1 {
-        return execute_select(source, stmt, params);
-    }
     let fold = SelectFold::plan(source.schema(), stmt, params)?;
-    let parts: Vec<Mutex<Partition>> = (0..threads).map(|_| Mutex::default()).collect();
+    let mut parts: Vec<Partition> = (0..threads.max(1)).map(|_| Partition::default()).collect();
     let span = wh_obs::trace_span!("sql.exec.scan_fold");
     let timer = wh_obs::Timer::start();
-    source.for_each_parallel(threads, &|w, row| {
-        fold.fold(&mut lock_state(&parts[w % parts.len()]), row)
-    })?;
+    let fold_ref = &fold;
+    let mut folds: Vec<_> = parts
+        .iter_mut()
+        .map(|part| move |row: Row| fold_ref.fold(part, row))
+        .collect();
+    let mut visitors: Vec<&mut (dyn FnMut(Row) -> SqlResult<()> + Send)> = folds
+        .iter_mut()
+        .map(|f| f as &mut (dyn FnMut(Row) -> SqlResult<()> + Send))
+        .collect();
+    source.for_each(&mut visitors)?;
     wh_obs::histogram!("sql.exec.scan_fold_ns").record(timer.elapsed_ns());
     drop(span);
-    fold.finish(parts.into_iter().map(unwrap_state).collect())
+    fold.finish(parts)
 }
 
 pub(crate) fn is_aggregate_query(stmt: &SelectStmt) -> bool {
@@ -885,7 +861,26 @@ mod tests {
         let t = sales_table();
         let r = select(&t, "SELECT * FROM DailySales");
         assert_eq!(r.rows.len(), 5);
-        assert_eq!(r.columns[0], "city");
+        // `*` labels every column with its schema name, in schema order.
+        assert_eq!(
+            r.columns,
+            ["city", "state", "product_line", "date", "total_sales"]
+        );
+    }
+
+    #[test]
+    fn date_predicates() {
+        let t = sales_table();
+        let r = select(
+            &t,
+            "SELECT city FROM DailySales WHERE date = DATE '1996-10-13'",
+        );
+        assert_eq!(r.rows, vec![vec![Value::from("Novato")]]);
+        let r = select(
+            &t,
+            "SELECT COUNT(*) FROM DailySales WHERE date > DATE '1996-10-13'",
+        );
+        assert_eq!(r.rows[0][0], Value::Int(4));
     }
 
     #[test]
@@ -1168,7 +1163,12 @@ mod tests {
         fn of(table: &Table) -> Partitioned {
             Partitioned {
                 schema: table.schema().clone(),
-                rows: table.scan_rows().unwrap(),
+                rows: table
+                    .scan_all()
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, r)| r)
+                    .collect(),
             }
         }
     }
@@ -1178,25 +1178,18 @@ mod tests {
             &self.schema
         }
 
-        fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
-            self.rows.iter().try_for_each(|r| visit(r.clone()))
-        }
-    }
-
-    impl ParallelRowSource for Partitioned {
-        fn for_each_parallel(
+        fn for_each(
             &self,
-            threads: usize,
-            visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
+            visitors: &mut [&mut (dyn FnMut(Row) -> SqlResult<()> + Send)],
         ) -> SqlResult<()> {
-            let chunk = self.rows.len().div_ceil(threads).max(1);
+            let chunk = self.rows.len().div_ceil(visitors.len()).max(1);
             std::thread::scope(|s| {
                 let workers: Vec<_> = self
                     .rows
                     .chunks(chunk)
-                    .enumerate()
-                    .map(|(w, part)| {
-                        s.spawn(move || part.iter().try_for_each(|r| visit(w, r.clone())))
+                    .zip(visitors.iter_mut())
+                    .map(|(part, visit)| {
+                        s.spawn(move || part.iter().try_for_each(|r| visit(r.clone())))
                     })
                     .collect();
                 workers.into_iter().try_for_each(|h| h.join().unwrap())

@@ -696,6 +696,37 @@ mod tests {
     }
 
     #[test]
+    fn create_table_round_trips_to_the_daily_sales_schema() {
+        let sql = "CREATE TABLE DailySales (\
+                   city CHAR(20), state CHAR(2), product_line CHAR(12), date DATE, \
+                   total_sales INT UPDATABLE, \
+                   PRIMARY KEY (city, state, product_line, date))";
+        let stmt = parse_statement(sql).unwrap();
+        assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt);
+        let Statement::CreateTable(ct) = stmt else {
+            panic!("not a CREATE TABLE")
+        };
+        let columns = ct
+            .columns
+            .iter()
+            .map(|c| wh_types::Column {
+                name: c.name.clone(),
+                ty: c.ty,
+                updatable: c.updatable,
+            })
+            .collect();
+        let key: Vec<&str> = ct.key.iter().map(String::as_str).collect();
+        // The schema matches the paper's running example exactly.
+        assert_eq!(
+            wh_types::Schema::with_key_names(columns, &key).unwrap(),
+            wh_types::schema::daily_sales_schema()
+        );
+        let sql = "CREATE TABLE t (a INT, b CHAR(8) UPDATABLE, c DATE, PRIMARY KEY (a, c))";
+        let stmt = parse_statement(sql).unwrap();
+        assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt);
+    }
+
+    #[test]
     fn date_literals() {
         let e = parse_expression("DATE '1996-10-14'").unwrap();
         assert_eq!(e, Expr::lit(Date::ymd(1996, 10, 14)));

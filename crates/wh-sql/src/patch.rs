@@ -463,11 +463,13 @@ mod tests {
             self.schema
         }
 
-        fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
-            for row in self.rows {
-                visit(row.clone())?;
-            }
-            Ok(())
+        fn for_each(
+            &self,
+            visitors: &mut [&mut (dyn FnMut(Row) -> SqlResult<()> + Send)],
+        ) -> SqlResult<()> {
+            self.rows
+                .iter()
+                .try_for_each(|row| visitors[0](row.clone()))
         }
     }
 

@@ -598,45 +598,60 @@ impl HeapFile {
         result
     }
 
-    /// Scan all live records with `threads` workers over contiguous page
-    /// partitions, invoking `visit(worker, rid, record)` from worker threads.
-    ///
-    /// Per-page latching is identical to [`Self::scan`]; each worker merges
-    /// its I/O counters once when its partition completes. The first error
-    /// (by worker index) is returned. With `threads <= 1` this degrades to a
-    /// serial scan on the calling thread.
-    pub fn scan_parallel<F>(&self, threads: usize, visit: F) -> StorageResult<()>
+    /// Scan all live records split into one contiguous page range per
+    /// element of `parts`, calling `visit(part, rid, record)` with that
+    /// partition's own state. Per-page latching is identical to
+    /// [`Self::scan`]. See [`Self::partitioned`] for threading and errors.
+    pub fn scan_parallel<P, F>(&self, parts: &mut [P], visit: F) -> StorageResult<()>
     where
-        F: Fn(usize, Rid, &[u8]) -> StorageResult<()> + Sync,
+        P: Send,
+        F: Fn(&mut P, Rid, &[u8]) -> StorageResult<()> + Sync,
+    {
+        self.partitioned(parts, |part, pages, failed| {
+            self.scan_pages(pages, |rid, rec| {
+                failed.check()?;
+                visit(part, rid, rec)
+            })
+        })
+    }
+
+    /// The one page partitioner behind [`Self::scan_parallel`] and
+    /// [`Self::scan_batches_parallel`]: partition `w` of `parts` covers the
+    /// `w`-th of `parts.len()` contiguous page ranges, so concatenating the
+    /// partitions in order gives serial heap order. A single partition
+    /// runs `scan` inline on the caller. Otherwise each non-empty range
+    /// runs on its own scoped worker under a `storage.scan.partition` span
+    /// parented on the caller's span, and a worker panic re-raises on the
+    /// caller. The first failure stops every other partition at its next
+    /// record or page, and is the error returned.
+    fn partitioned<P, S>(&self, parts: &mut [P], scan: S) -> StorageResult<()>
+    where
+        P: Send,
+        S: Fn(&mut P, std::ops::Range<u32>, &FirstFailure) -> StorageResult<()> + Sync,
     {
         let pages = self.page_count();
-        let workers = threads.max(1).min(pages.max(1) as usize);
-        if workers <= 1 {
-            return self.scan_pages(0..pages, |rid, rec| visit(0, rid, rec));
+        let failed = FirstFailure::default();
+        if let [only] = parts {
+            return scan(only, 0..pages, &failed);
         }
-        let chunk = (pages as usize).div_ceil(workers) as u32;
-        let visit = &visit;
-        // Propagate the coordinator's span across the worker threads so
-        // each partition's span parents under the read that spawned it.
+        let chunk = pages.div_ceil(parts.len().max(1) as u32);
         let scan_ctx = wh_obs::trace::current();
-        let mut results: Vec<StorageResult<()>> = Vec::new();
+        let (scan, failed_ref) = (&scan, &failed);
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let start = w as u32 * chunk;
-                    let end = (start + chunk).min(pages);
+            for (w, part) in parts.iter_mut().enumerate() {
+                let start = (w as u32).saturating_mul(chunk).min(pages);
+                let end = start.saturating_add(chunk).min(pages);
+                if start < end {
                     s.spawn(move || {
                         let _ts = wh_obs::trace_span_under!("storage.scan.partition", scan_ctx);
-                        self.scan_pages(start..end, |rid, rec| visit(w, rid, rec))
-                    })
-                })
-                .collect();
-            results = handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked")) // lint: allow(no-panic) — re-raises a scan-worker panic on the coordinator
-                .collect();
+                        if let Err(e) = scan(part, start..end, failed_ref) {
+                            failed_ref.record(e);
+                        }
+                    });
+                }
+            }
         });
-        results.into_iter().collect()
+        failed.into_result()
     }
 
     /// Batched scan of the pages in `range`: each page's live records are
@@ -696,47 +711,26 @@ impl HeapFile {
         result
     }
 
-    /// Parallel twin of [`Self::scan_batches`]: contiguous page partitions,
-    /// one reusable batch per worker, `visit(worker, batch)` from worker
-    /// threads. Partitioning and error handling match
-    /// [`Self::scan_parallel`].
-    pub fn scan_batches_parallel<F>(
+    /// [`Self::scan_batches`] over every page, split into one contiguous
+    /// page range per element of `parts`: each partition reuses one batch
+    /// and `visit(part, batch)` gets that partition's own state.
+    /// Partitioning and errors are [`Self::partitioned`]'s.
+    pub fn scan_batches_parallel<P, F>(
         &self,
-        threads: usize,
         specs: &[FieldSpec],
+        parts: &mut [P],
         visit: F,
     ) -> StorageResult<()>
     where
-        F: Fn(usize, &RecordBatch) -> StorageResult<()> + Sync,
+        P: Send,
+        F: Fn(&mut P, &RecordBatch) -> StorageResult<()> + Sync,
     {
-        let pages = self.page_count();
-        let workers = threads.max(1).min(pages.max(1) as usize);
-        if workers <= 1 {
-            return self.scan_batches(0..pages, specs, |batch| visit(0, batch));
-        }
-        let chunk = (pages as usize).div_ceil(workers) as u32;
-        let visit = &visit;
-        // Propagate the coordinator's span across the worker threads; see
-        // `scan_parallel`.
-        let scan_ctx = wh_obs::trace::current();
-        let mut results: Vec<StorageResult<()>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let start = w as u32 * chunk;
-                    let end = (start + chunk).min(pages);
-                    s.spawn(move || {
-                        let _ts = wh_obs::trace_span_under!("storage.scan.partition", scan_ctx);
-                        self.scan_batches(start..end, specs, |batch| visit(w, batch))
-                    })
-                })
-                .collect();
-            results = handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked")) // lint: allow(no-panic) — re-raises a scan-worker panic on the coordinator
-                .collect();
-        });
-        results.into_iter().collect()
+        self.partitioned(parts, |part, pages, failed| {
+            self.scan_batches(pages, specs, |batch| {
+                failed.check()?;
+                visit(part, batch)
+            })
+        })
     }
 
     /// Collect all live `(rid, record)` pairs. Convenience over [`Self::scan`].
@@ -747,6 +741,29 @@ impl HeapFile {
             Ok(())
         })?;
         Ok(out)
+    }
+}
+
+/// The first failure of a partitioned scan, shared by its partitions.
+#[derive(Default)]
+struct FirstFailure(std::sync::OnceLock<StorageError>);
+
+impl FirstFailure {
+    /// `ScanAborted` once any partition has failed.
+    fn check(&self) -> StorageResult<()> {
+        match self.0.get() {
+            Some(_) => Err(StorageError::ScanAborted),
+            None => Ok(()),
+        }
+    }
+
+    /// Keep `e` unless an earlier failure is already kept.
+    fn record(&self, e: StorageError) {
+        let _ = self.0.set(e);
+    }
+
+    fn into_result(self) -> StorageResult<()> {
+        self.0.into_inner().map_or(Ok(()), Err)
     }
 }
 
@@ -880,17 +897,16 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        serial.sort();
+        // Partitions are contiguous page ranges in worker order, so their
+        // concatenation is serial heap order.
         for threads in [1, 2, 4, 8, 64] {
-            let parallel = Mutex::new(Vec::new());
-            h.scan_parallel(threads, |_, rid, rec| {
-                parallel.lock().unwrap().push((rid, rec[0], rec[1]));
+            let mut parts = vec![Vec::new(); threads];
+            h.scan_parallel(&mut parts, |part, rid, rec| {
+                part.push((rid, rec[0], rec[1]));
                 Ok(())
             })
             .unwrap();
-            let mut parallel = parallel.into_inner().unwrap();
-            parallel.sort();
-            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(parts.concat(), serial, "threads={threads}");
         }
     }
 
@@ -901,7 +917,7 @@ mod tests {
             h.insert(&[i; 512]).unwrap();
         }
         let err = h
-            .scan_parallel(4, |_, _, rec| {
+            .scan_parallel(&mut [(); 4], |(), _, rec| {
                 if rec[0] == 40 {
                     Err(StorageError::NoSuchPage(999))
                 } else {
@@ -928,7 +944,7 @@ mod tests {
             h.page_count() as u64
         );
         assert_eq!(after_serial.tuple_reads - before.tuple_reads, 100);
-        h.scan_parallel(4, |_, _, _| Ok(())).unwrap();
+        h.scan_parallel(&mut [(); 4], |(), _, _| Ok(())).unwrap();
         let after_parallel = stats.snapshot();
         assert_eq!(
             after_parallel.page_reads - after_serial.page_reads,
@@ -1023,20 +1039,16 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        serial.sort();
         for threads in [1, 2, 4, 8] {
-            let parallel = Mutex::new(Vec::new());
-            h.scan_batches_parallel(threads, &[], |_, batch| {
-                let mut p = parallel.lock().unwrap();
+            let mut parts = vec![Vec::new(); threads];
+            h.scan_batches_parallel(&[], &mut parts, |part, batch| {
                 for (i, &slot) in batch.slots().iter().enumerate() {
-                    p.push((Rid::new(batch.page_no(), slot), batch.record(i).to_vec()));
+                    part.push((Rid::new(batch.page_no(), slot), batch.record(i).to_vec()));
                 }
                 Ok(())
             })
             .unwrap();
-            let mut parallel = parallel.into_inner().unwrap();
-            parallel.sort();
-            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(parts.concat(), serial, "threads={threads}");
         }
     }
 

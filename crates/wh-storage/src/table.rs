@@ -207,15 +207,17 @@ impl Table {
         })
     }
 
-    /// Visit every live row with `threads` workers over contiguous page
-    /// partitions; `visit(worker, rid, row)` runs on worker threads.
-    pub fn scan_parallel<F>(&self, threads: usize, visit: F) -> StorageResult<()>
+    /// Visit every live row split into one contiguous page range per
+    /// element of `parts`; `visit(part, rid, row)` gets that partition's
+    /// own state. See [`HeapFile::scan_parallel`].
+    pub fn scan_parallel<P, F>(&self, parts: &mut [P], visit: F) -> StorageResult<()>
     where
-        F: Fn(usize, Rid, Row) -> StorageResult<()> + Sync,
+        P: Send,
+        F: Fn(&mut P, Rid, Row) -> StorageResult<()> + Sync,
     {
-        self.heap.scan_parallel(threads, |worker, rid, buf| {
+        self.heap.scan_parallel(parts, |part, rid, buf| {
             let row = self.codec.decode(buf)?;
-            visit(worker, rid, row)
+            visit(part, rid, row)
         })
     }
 
@@ -304,17 +306,14 @@ mod tests {
         for i in 0..300 {
             t.insert(&row(&format!("city{i:03}"), i)).unwrap();
         }
-        let mut serial = t.scan_all().unwrap();
-        serial.sort_by_key(|(rid, _)| *rid);
-        let collected = std::sync::Mutex::new(Vec::new());
-        t.scan_parallel(4, |_, rid, r| {
-            collected.lock().unwrap().push((rid, r));
+        let serial = t.scan_all().unwrap();
+        let mut parts = vec![Vec::new(); 4];
+        t.scan_parallel(&mut parts, |part, rid, r| {
+            part.push((rid, r));
             Ok(())
         })
         .unwrap();
-        let mut parallel = collected.into_inner().unwrap();
-        parallel.sort_by_key(|(rid, _)| *rid);
-        assert_eq!(parallel, serial);
+        assert_eq!(parts.concat(), serial);
     }
 
     #[test]

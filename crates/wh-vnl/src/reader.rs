@@ -8,9 +8,8 @@ use crate::version::VersionNo;
 use std::sync::Mutex;
 use std::time::Duration;
 use wh_sql::{
-    exec::{execute_select, execute_select_parallel},
-    parse_statement, ParallelRowSource, Params, QueryResult, RowSource, SelectStmt, SqlError,
-    SqlResult, Statement,
+    execute_select, execute_select_parallel, parse_statement, Params, QueryResult, RowSource,
+    SelectStmt, SqlError, SqlResult, Statement,
 };
 use wh_types::{Row, Schema, Value};
 
@@ -194,11 +193,11 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        let _ts = wh_obs::trace_span_under!("vnl.read.scan", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        self.table
-            .scan_visible_batched(&self.batch_scanner(None), self.session_vn, visit)
+        self.read(wh_obs::trace_name!("vnl.read.scan"), || {
+            let scanner = self.batch_scanner(None);
+            self.table
+                .scan_visible_inline(&scanner, self.session_vn, visit)
+        })
     }
 
     /// [`ReaderSession::scan_with`] with projection pushdown: rows carry
@@ -208,19 +207,11 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        self.note_staleness();
-        self.table
-            .scan_visible_batched(&self.batch_scanner(Some(cols)), self.session_vn, visit)
-    }
-
-    /// Materializing form of [`ReaderSession::scan_projected_with`].
-    pub fn scan_projected(&self, cols: &[usize]) -> VnlResult<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_projected_with(cols, |row| {
-            out.push(row);
-            Ok(())
-        })?;
-        Ok(out)
+        self.read(wh_obs::trace_name!("vnl.read.scan_projected"), || {
+            let scanner = self.batch_scanner(Some(cols));
+            self.table
+                .scan_visible_inline(&scanner, self.session_vn, visit)
+        })
     }
 
     /// Parallel partitioned scan: the heap is split into contiguous page
@@ -233,42 +224,46 @@ impl<'t> ReaderSession<'t> {
     where
         F: Fn(usize, Row) -> VnlResult<()> + Sync,
     {
-        let _ts = wh_obs::trace_span_under!("vnl.read.scan_parallel", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        self.table.scan_visible_batched_parallel(
-            threads,
-            &self.batch_scanner(None),
-            self.session_vn,
-            visit,
-        )
-    }
-
-    /// [`ReaderSession::scan_parallel`] with projection pushdown.
-    pub fn scan_projected_parallel<F>(
-        &self,
-        threads: usize,
-        cols: &[usize],
-        visit: F,
-    ) -> VnlResult<()>
-    where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
-    {
-        self.note_staleness();
-        self.table.scan_visible_batched_parallel(
-            threads,
-            &self.batch_scanner(Some(cols)),
-            self.session_vn,
-            visit,
-        )
+        let visit = &visit;
+        let mut workers: Vec<_> = (0..threads.max(1))
+            .map(|w| move |row| visit(w, row))
+            .collect();
+        self.read(wh_obs::trace_name!("vnl.read.scan_parallel"), || {
+            let scanner = self.batch_scanner(None);
+            self.table
+                .scan_visible(&scanner, self.session_vn, &mut workers)
+        })
     }
 
     /// Count the rows visible to this session without decoding any of them
     /// — the scan's classify-only fast path (a selection bitmap popcount
     /// per page).
     pub fn count(&self) -> VnlResult<u64> {
+        self.read(wh_obs::trace_name!("vnl.read.count"), || {
+            let scanner =
+                BatchScanner::new_sparse(self.table.layout(), self.table.storage().codec(), &[]);
+            let counts = self.table.scan_classified(
+                &scanner,
+                self.session_vn,
+                vec![0u64],
+                |n, _, classes| {
+                    *n += classes.selected() as u64;
+                    Ok(())
+                },
+            )?;
+            Ok(counts.iter().sum())
+        })
+    }
+
+    /// The one entry behind every scan, count and query: opens the read's
+    /// span (`span`, interned with `wh_obs::trace_name!`) under the
+    /// session's, feeds the read-latency SLO when it ends, and publishes
+    /// staleness before running `read`.
+    fn read<T>(&self, span: u32, read: impl FnOnce() -> VnlResult<T>) -> VnlResult<T> {
+        let _ts = wh_obs::trace::enter_under(span, self.span_ctx);
+        let _lat = ReadProbe::start();
         self.note_staleness();
-        self.table.count_visible(self.session_vn)
+        read()
     }
 
     /// Build this session's batch scanner. `cols = None` decodes the full
@@ -343,13 +338,7 @@ impl<'t> ReaderSession<'t> {
     /// version extraction (always correct, including per-tuple expiration
     /// detection). The statement references base-schema columns.
     pub fn query(&self, sql: &str) -> VnlResult<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(VnlError::Sql(SqlError::Unsupported(
-                "reader sessions are read-only".into(),
-            )));
-        };
-        self.query_stmt(&select)
+        self.query_stmt(&parse_select(sql)?)
     }
 
     /// Like [`ReaderSession::query`] with a pre-parsed statement. The
@@ -358,12 +347,7 @@ impl<'t> ReaderSession<'t> {
     /// snapshot, and pushable WHERE conjuncts run inside the page classify
     /// kernel, before decode.
     pub fn query_stmt(&self, select: &SelectStmt) -> VnlResult<QueryResult> {
-        let _ts = wh_obs::trace_span_under!("vnl.read.query", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        let (source, exec_stmt) = self.source_for(select)?;
-        let res = execute_select(&source, &exec_stmt, &Params::new());
-        source.settle(res)
+        self.run_select(wh_obs::trace_name!("vnl.read.query"), select, 1)
     }
 
     /// Parallel form of [`ReaderSession::query`]: the scan is partitioned
@@ -372,13 +356,7 @@ impl<'t> ReaderSession<'t> {
     /// to the serial path (worker partitions are contiguous heap ranges
     /// merged in order) up to floating-point reassociation in SUM/AVG.
     pub fn query_parallel(&self, sql: &str, threads: usize) -> VnlResult<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(VnlError::Sql(SqlError::Unsupported(
-                "reader sessions are read-only".into(),
-            )));
-        };
-        self.query_stmt_parallel(&select, threads)
+        self.query_stmt_parallel(&parse_select(sql)?, threads)
     }
 
     /// Like [`ReaderSession::query_parallel`] with a pre-parsed statement.
@@ -387,12 +365,18 @@ impl<'t> ReaderSession<'t> {
         select: &SelectStmt,
         threads: usize,
     ) -> VnlResult<QueryResult> {
-        let _ts = wh_obs::trace_span_under!("vnl.read.query_parallel", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        let (source, exec_stmt) = self.source_for(select)?;
-        let res = execute_select_parallel(&source, &exec_stmt, &Params::new(), threads);
-        source.settle(res)
+        let span = wh_obs::trace_name!("vnl.read.query_parallel");
+        self.run_select(span, select, threads)
+    }
+
+    /// A SELECT through [`ReaderSession::read`], folded over up to
+    /// `threads` scan partitions.
+    fn run_select(&self, span: u32, select: &SelectStmt, threads: usize) -> VnlResult<QueryResult> {
+        self.read(span, || {
+            let (source, exec_stmt) = self.source_for(select)?;
+            let res = execute_select_parallel(&source, &exec_stmt, &Params::new(), threads);
+            source.settle(res)
+        })
     }
 
     /// Plan a statement against this session: build the scan source and the
@@ -444,24 +428,18 @@ impl<'t> ReaderSession<'t> {
     /// then apply the §4.1 global expiration check — rewritten SQL cannot
     /// detect expiration per tuple, so the check validates the result.
     pub fn query_via_rewrite(&self, sql: &str) -> VnlResult<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(VnlError::Sql(SqlError::Unsupported(
-                "reader sessions are read-only".into(),
-            )));
-        };
+        let select = parse_select(sql)?;
         if select.from != self.table.name() {
             return Err(VnlError::Sql(SqlError::NoSuchTable(select.from)));
         }
-        let _ts = wh_obs::trace_span_under!("vnl.read.query_rewrite", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        let rewritten = self.table.rewriter().rewrite_select(&select)?;
-        let mut params = Params::new();
-        params.insert("sessionVN".into(), Value::from(self.session_vn as i64));
-        let result = execute_select(self.table.storage(), &rewritten, &params)?;
-        self.assert_live()?;
-        Ok(result)
+        self.read(wh_obs::trace_name!("vnl.read.query_rewrite"), || {
+            let rewritten = self.table.rewriter().rewrite_select(&select)?;
+            let mut params = Params::new();
+            params.insert("sessionVN".into(), Value::from(self.session_vn as i64));
+            let result = execute_select(self.table.storage(), &rewritten, &params)?;
+            self.assert_live()?;
+            Ok(result)
+        })
     }
 
     /// End the session, deregistering it (and releasing its lease).
@@ -488,8 +466,8 @@ impl Drop for ReaderSession<'_> {
 }
 
 /// Streaming row source over one session's consistent view: the SQL
-/// executor folds rows straight off [`VnlTable::scan_visible_batched`] /
-/// [`VnlTable::scan_visible_batched_parallel`] — no intermediate snapshot.
+/// executor folds rows straight off [`VnlTable::scan_visible`], one
+/// partition per executor visitor — no intermediate snapshot.
 ///
 /// The executor speaks [`SqlError`], but the scan can fail with
 /// session-level errors (expiration, storage faults) that must surface as
@@ -545,29 +523,27 @@ impl RowSource for SessionSource<'_> {
         self.table.layout().base_schema()
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
+    fn for_each(
+        &self,
+        visitors: &mut [&mut (dyn FnMut(Row) -> SqlResult<()> + Send)],
+    ) -> SqlResult<()> {
+        let mut parts: Vec<_> = visitors
+            .iter_mut()
+            .map(|visit| move |row| visit(row).map_err(VnlError::Sql))
+            .collect();
         self.table
-            .scan_visible_batched(&self.scanner, self.session_vn, |row| {
-                visit(row).map_err(VnlError::Sql)
-            })
+            .scan_visible(&self.scanner, self.session_vn, &mut parts)
             .map_err(|e| self.smuggle(e))
     }
 }
 
-impl ParallelRowSource for SessionSource<'_> {
-    fn for_each_parallel(
-        &self,
-        threads: usize,
-        visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()> {
-        self.table
-            .scan_visible_batched_parallel(
-                threads,
-                &self.scanner,
-                self.session_vn,
-                |worker, row| visit(worker, row).map_err(VnlError::Sql),
-            )
-            .map_err(|e| self.smuggle(e))
+/// Parse `sql` as a SELECT: reader sessions are read-only.
+fn parse_select(sql: &str) -> VnlResult<SelectStmt> {
+    match parse_statement(sql)? {
+        Statement::Select(select) => Ok(select),
+        _ => Err(VnlError::Sql(SqlError::Unsupported(
+            "reader sessions are read-only".into(),
+        ))),
     }
 }
 

@@ -463,14 +463,15 @@ impl RowSource for MemSource<'_> {
         self.schema
     }
 
+    /// One partition: every row goes to the first visitor.
     fn for_each(
         &self,
-        visit: &mut dyn FnMut(Row) -> wh_sql::SqlResult<()>,
+        visitors: &mut [&mut (dyn FnMut(Row) -> wh_sql::SqlResult<()> + Send)],
     ) -> wh_sql::SqlResult<()> {
-        for row in self.rows {
-            visit(row.clone())?;
-        }
-        Ok(())
+        let Some(visit) = visitors.first_mut() else {
+            return Ok(());
+        };
+        self.rows.iter().try_for_each(|row| visit(row.clone()))
     }
 }
 

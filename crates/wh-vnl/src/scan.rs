@@ -71,6 +71,8 @@ pub struct BatchClasses {
     select: Vec<u64>,
     /// Number of set bits in `select`.
     selected: usize,
+    /// Whether any record classified `Expired`.
+    expired: bool,
 }
 
 impl BatchClasses {
@@ -87,6 +89,11 @@ impl BatchClasses {
     /// Number of selected (visible) records.
     pub fn selected(&self) -> usize {
         self.selected
+    }
+
+    /// Whether any record classified [`Classified::Expired`].
+    pub fn any_expired(&self) -> bool {
+        self.expired
     }
 
     /// Whether record `i` is selected.
@@ -392,6 +399,7 @@ impl BatchScanner {
         out.select.clear();
         out.select.resize(n.div_ceil(64), 0);
         out.selected = 0;
+        out.expired = false;
         let fields: Vec<&[i64]> = (0..self.specs.len())
             .map(|f| &batch.field(f)[..n])
             .collect();
@@ -465,9 +473,13 @@ impl BatchScanner {
                 }
                 other => other,
             };
-            if matches!(code, Classified::Current | Classified::Pre(_)) {
-                out.select[i / 64] |= 1u64 << (i % 64);
-                out.selected += 1;
+            match code {
+                Classified::Current | Classified::Pre(_) => {
+                    out.select[i / 64] |= 1u64 << (i % 64);
+                    out.selected += 1;
+                }
+                Classified::Expired => out.expired = true,
+                Classified::Ignore => {}
             }
             out.codes.push(code);
         }

@@ -4,6 +4,7 @@ use crate::error::{VnlError, VnlResult};
 use crate::maintenance::MaintenanceTxn;
 use crate::reader::ReaderSession;
 use crate::rewrite::QueryRewriter;
+use crate::scan::{BatchClasses, BatchScanner, Classified, StrPool};
 use crate::schema_ext::ExtLayout;
 use crate::version::{VersionNo, VersionState};
 use crate::visibility;
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
 use wh_index::{IndexKey, KeyDirectory, OrderedIndex};
+use wh_storage::batch::RecordBatch;
 use wh_storage::{IoStats, Rid, Table};
 use wh_types::{Row, Schema, Value};
 
@@ -503,172 +505,99 @@ impl VnlTable {
         Ok(resolved)
     }
 
-    /// Streaming visitor scan of the tuples visible to `session_vn`, driven
-    /// by a prebuilt [`crate::scan::BatchScanner`]: the heap copies each
-    /// page's live records out under a short latch hold and gathers their
-    /// version fields into column-strided arrays, the scanner classifies
-    /// the whole page branch-free into a selection bitmap, and only
-    /// selected records are decoded. Table 1 semantics, including
-    /// per-tuple expiration, are exactly [`crate::visibility::extract`]'s —
-    /// the property tests in [`crate::scan`] hold the two to agreement.
-    /// Stops at the first expired tuple or visitor error.
-    pub(crate) fn scan_visible_batched<F>(
+    /// The one scan of the tuples visible to `session_vn`, driven by a
+    /// prebuilt [`crate::scan::BatchScanner`]: the heap copies each page's
+    /// live records out under a short latch hold and gathers their version
+    /// fields into column-strided arrays, the scanner classifies the whole
+    /// page branch-free into a selection bitmap, and `sink(part, batch,
+    /// classes)` consumes the verdicts (see [`ScanPart::page`]).
+    ///
+    /// The heap splits into one contiguous page range per element of
+    /// `parts`, each with its own scan state, owned by the worker that
+    /// scans it; a single partition scans inline on the caller. One epoch
+    /// pin covers every partition, so any RID a partition observes stays
+    /// un-reused until the scan returns; the first failure (expiration,
+    /// decode or sink error) stops them all, and one fence check closes
+    /// the scan. Returns the partitions' final states, in order.
+    pub(crate) fn scan_classified<P, S>(
         &self,
-        scanner: &crate::scan::BatchScanner,
+        scanner: &BatchScanner,
         session_vn: VersionNo,
-        mut visit: F,
-    ) -> VnlResult<()>
+        parts: Vec<P>,
+        sink: S,
+    ) -> VnlResult<Vec<P>>
     where
-        F: FnMut(Row) -> VnlResult<()>,
+        P: Send,
+        S: Fn(&mut P, &RecordBatch, &BatchClasses) -> VnlResult<()> + Sync,
     {
         let _pin = self.epochs.pin();
-        let mut failure: Option<VnlError> = None;
-        let mut classes = crate::scan::BatchClasses::default();
-        let mut pool = scanner.new_pool();
-        let heap = self.storage.heap();
-        let res = heap.scan_batches(0..heap.page_count(), scanner.specs(), |batch| {
-            scanner.classify_batch(batch, session_vn, &mut classes);
-            note_batch_metrics(batch.len(), classes.selected());
-            for (i, &code) in classes.codes().iter().enumerate() {
-                match code {
-                    crate::scan::Classified::Ignore => {}
-                    crate::scan::Classified::Expired => {
-                        failure = Some(self.expired_error(session_vn));
-                    }
-                    which => match scanner.decode_visible(batch, i, which, &mut pool) {
-                        Ok(row) => {
-                            if let Err(e) = visit(row) {
-                                failure = Some(e);
-                            }
-                        }
-                        Err(e) => failure = Some(e.into()),
-                    },
-                }
-                if failure.is_some() {
-                    return Err(wh_storage::StorageError::ScanAborted);
-                }
-            }
-            Ok(())
-        });
-        self.settle_scan(res, failure)?;
-        self.fence_check(session_vn)
+        let mut parts: Vec<ScanPart<P>> = parts.into_iter().map(ScanPart::new).collect();
+        let res = self.storage.heap().scan_batches_parallel(
+            scanner.specs(),
+            &mut parts,
+            |part, batch| part.page(self, scanner, session_vn, batch, &sink),
+        );
+        let failure = parts.iter_mut().find_map(|p| p.failure.take());
+        self.settle_scan(session_vn, res, failure)?;
+        Ok(parts.into_iter().map(|p| p.state).collect())
     }
 
-    /// Parallel twin of [`VnlTable::scan_visible_batched`]: the heap is
-    /// split into contiguous page ranges, one per worker, with one batch in
-    /// flight per worker. `visit(worker, row)` runs on worker threads; the
-    /// first failure (expiration, decode error, or visitor error) aborts all
-    /// partitions. Which worker sees which tuple is deterministic for a
-    /// fixed heap, but call interleaving is not — the visitor must not rely
-    /// on ordering.
-    pub(crate) fn scan_visible_batched_parallel<F>(
+    /// [`Self::scan_classified`] delivering rows: each partition decodes
+    /// its selected records through its own interning pool into its own
+    /// visitor, in heap order.
+    pub(crate) fn scan_visible<V>(
         &self,
-        threads: usize,
-        scanner: &crate::scan::BatchScanner,
+        scanner: &BatchScanner,
         session_vn: VersionNo,
-        visit: F,
+        visitors: &mut [V],
     ) -> VnlResult<()>
     where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
+        V: FnMut(Row) -> VnlResult<()> + Send,
     {
-        // One pin covers every worker: it is held by the coordinator for
-        // the whole parallel scan, so any RID a worker observes stays
-        // un-reused until the scan returns.
-        let _pin = self.epochs.pin();
-        // One interning pool per worker, locked once per batch — the lock
-        // is uncontended (each worker only ever takes its own) but keeps
-        // the visit closure shareable as `scan_batches_parallel` requires.
-        let pools: Vec<Mutex<crate::scan::StrPool>> = (0..threads.max(1))
-            .map(|_| Mutex::new(scanner.new_pool()))
+        let parts: Vec<(&mut V, StrPool)> = visitors
+            .iter_mut()
+            .map(|visit| (visit, scanner.new_pool()))
             .collect();
-        let failure: Mutex<Option<VnlError>> = Mutex::new(None);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let fail = |e: VnlError| {
-            let mut slot = failure
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            failed.store(true, Ordering::Release); // ordering: scan-abort Release — publishes the stashed error before the flag its reader Acquires
-        };
-        let res =
-            self.storage
-                .heap()
-                .scan_batches_parallel(threads, scanner.specs(), |worker, batch| {
-                    let mut classes = crate::scan::BatchClasses::default();
-                    scanner.classify_batch(batch, session_vn, &mut classes);
-                    note_batch_metrics(batch.len(), classes.selected());
-                    let mut pool = pools[worker % pools.len()]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for (i, &code) in classes.codes().iter().enumerate() {
-                        match code {
-                            crate::scan::Classified::Ignore => {}
-                            crate::scan::Classified::Expired => {
-                                fail(self.expired_error(session_vn));
-                            }
-                            which => match scanner.decode_visible(batch, i, which, &mut pool) {
-                                Ok(row) => {
-                                    if let Err(e) = visit(worker, row) {
-                                        fail(e);
-                                    }
-                                }
-                                Err(e) => fail(e.into()),
-                            },
-                        }
-                        // ordering: scan-abort Acquire — pairs with the workers' Release store publishing the stashed error
-                        if failed.load(Ordering::Acquire) {
-                            return Err(wh_storage::StorageError::ScanAborted);
-                        }
-                    }
-                    Ok(())
-                });
-        self.settle_scan(
-            res,
-            failure
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        self.scan_classified(
+            scanner,
+            session_vn,
+            parts,
+            |(visit, pool), batch, classes| decode_selected(scanner, batch, classes, pool, visit),
         )?;
-        self.fence_check(session_vn)
+        Ok(())
     }
 
-    /// Count the tuples visible to `session_vn` without decoding any of
-    /// them: the classify-only fast path the selection bitmap makes
-    /// possible. Expiration detection is identical to a full scan.
-    pub(crate) fn count_visible(&self, session_vn: VersionNo) -> VnlResult<u64> {
-        let scanner =
-            crate::scan::BatchScanner::new_sparse(&self.layout, self.storage.codec(), &[]);
+    /// The one-partition [`Self::scan_visible`] on the caller's thread, for
+    /// a visitor that need not cross threads.
+    pub(crate) fn scan_visible_inline<V>(
+        &self,
+        scanner: &BatchScanner,
+        session_vn: VersionNo,
+        visit: V,
+    ) -> VnlResult<()>
+    where
+        V: FnMut(Row) -> VnlResult<()>,
+    {
         let _pin = self.epochs.pin();
-        let mut failure: Option<VnlError> = None;
-        let mut classes = crate::scan::BatchClasses::default();
-        let mut count = 0u64;
+        let mut part = ScanPart::new((visit, scanner.new_pool()));
         let heap = self.storage.heap();
         let res = heap.scan_batches(0..heap.page_count(), scanner.specs(), |batch| {
-            scanner.classify_batch(batch, session_vn, &mut classes);
-            note_batch_metrics(batch.len(), classes.selected());
-            if classes
-                .codes()
-                .iter()
-                .any(|c| matches!(c, crate::scan::Classified::Expired))
-            {
-                failure = Some(self.expired_error(session_vn));
-                return Err(wh_storage::StorageError::ScanAborted);
-            }
-            count += classes.selected() as u64;
-            Ok(())
+            let sink =
+                |(visit, pool): &mut (V, StrPool), batch: &RecordBatch, classes: &BatchClasses| {
+                    decode_selected(scanner, batch, classes, pool, visit)
+                };
+            part.page(self, scanner, session_vn, batch, &sink)
         });
-        self.settle_scan(res, failure)?;
-        self.fence_check(session_vn)?;
-        Ok(count)
+        self.settle_scan(session_vn, res, part.failure)
     }
 
-    /// Resolve a heap-scan result against an error stashed by the visitor:
-    /// the stashed [`VnlError`] wins (the paired `ScanAborted` is only its
-    /// transport), expiration is counted, and genuine storage errors pass
-    /// through.
+    /// Close a scan: its stashed [`VnlError`] wins over the heap result
+    /// (the paired `ScanAborted` is only its transport), expiration is
+    /// counted once, genuine storage errors pass through, and a clean scan
+    /// ends with the recovery fence check.
     fn settle_scan(
         &self,
+        session_vn: VersionNo,
         res: Result<(), wh_storage::StorageError>,
         failure: Option<VnlError>,
     ) -> VnlResult<()> {
@@ -680,7 +609,7 @@ impl VnlTable {
                 Err(e)
             }
             (Err(e), None) => Err(e.into()),
-            (Ok(()), None) => Ok(()),
+            (Ok(()), None) => self.fence_check(session_vn),
         }
     }
 
@@ -847,6 +776,74 @@ impl VnlTable {
         }
         ext
     }
+}
+
+/// One scan partition's state, owned by the worker that scans it: the
+/// sink's state plus a reusable classification buffer and the partition's
+/// first failure.
+struct ScanPart<P> {
+    state: P,
+    classes: BatchClasses,
+    failure: Option<VnlError>,
+}
+
+impl<P> ScanPart<P> {
+    fn new(state: P) -> Self {
+        ScanPart {
+            state,
+            classes: BatchClasses::default(),
+            failure: None,
+        }
+    }
+
+    /// Classify → expire → sink for one page batch. Table 1 semantics,
+    /// including per-tuple expiration, are exactly
+    /// [`crate::visibility::extract`]'s (the property tests in
+    /// [`crate::scan`] hold the two to agreement); a page holding an
+    /// expired tuple fails before the sink runs. A failure is kept here
+    /// and leaves the heap scan as `ScanAborted`.
+    fn page<S>(
+        &mut self,
+        table: &VnlTable,
+        scanner: &BatchScanner,
+        session_vn: VersionNo,
+        batch: &RecordBatch,
+        sink: &S,
+    ) -> Result<(), wh_storage::StorageError>
+    where
+        S: Fn(&mut P, &RecordBatch, &BatchClasses) -> VnlResult<()>,
+    {
+        scanner.classify_batch(batch, session_vn, &mut self.classes);
+        note_batch_metrics(batch.len(), self.classes.selected());
+        let done = if self.classes.any_expired() {
+            Err(table.expired_error(session_vn))
+        } else {
+            sink(&mut self.state, batch, &self.classes)
+        };
+        done.map_err(|e| {
+            self.failure = Some(e);
+            wh_storage::StorageError::ScanAborted
+        })
+    }
+}
+
+/// Decode the selected records of `batch`, in batch order, into `visit`.
+fn decode_selected<V>(
+    scanner: &BatchScanner,
+    batch: &RecordBatch,
+    classes: &BatchClasses,
+    pool: &mut StrPool,
+    visit: &mut V,
+) -> VnlResult<()>
+where
+    V: FnMut(Row) -> VnlResult<()>,
+{
+    for (i, &code) in classes.codes().iter().enumerate() {
+        if matches!(code, Classified::Current | Classified::Pre(_)) {
+            visit(scanner.decode_visible(batch, i, code, pool)?)?;
+        }
+    }
+    Ok(())
 }
 
 /// Per-page batch telemetry: batch-size distribution and selection-bitmap

@@ -135,7 +135,12 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
             canon(v_only),
             canon(expected.iter().map(|r| vec![r[1].clone()]).collect())
         );
-        let reordered = s.scan_projected(&[1, 0]).unwrap();
+        let mut reordered = Vec::new();
+        s.scan_projected_with(&[1, 0], |r| {
+            reordered.push(r);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(
             canon(reordered),
             canon(
