@@ -5,7 +5,7 @@ use crate::resilience::LeaseId;
 use crate::scan::BatchScanner;
 use crate::table::VnlTable;
 use crate::version::VersionNo;
-use std::sync::Mutex;
+use std::cell::Cell;
 use std::time::Duration;
 use wh_sql::{
     execute_select, execute_select_parallel, parse_statement, Params, QueryResult, RowSource,
@@ -193,11 +193,7 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        self.read(wh_obs::trace_name!("vnl.read.scan"), || {
-            let scanner = self.batch_scanner(None);
-            self.table
-                .scan_visible_inline(&scanner, self.session_vn, visit)
-        })
+        self.scan_inline(wh_obs::trace_name!("vnl.read.scan"), None, visit)
     }
 
     /// [`ReaderSession::scan_with`] with projection pushdown: rows carry
@@ -207,11 +203,8 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        self.read(wh_obs::trace_name!("vnl.read.scan_projected"), || {
-            let scanner = self.batch_scanner(Some(cols));
-            self.table
-                .scan_visible_inline(&scanner, self.session_vn, visit)
-        })
+        let span = wh_obs::trace_name!("vnl.read.scan_projected");
+        self.scan_inline(span, Some(cols), visit)
     }
 
     /// Parallel partitioned scan: the heap is split into contiguous page
@@ -264,6 +257,19 @@ impl<'t> ReaderSession<'t> {
         let _lat = ReadProbe::start();
         self.note_staleness();
         read()
+    }
+
+    /// A one-partition row scan on the caller's thread through
+    /// [`ReaderSession::read`], so `visit` need not be `Send`.
+    fn scan_inline<F>(&self, span: u32, cols: Option<&[usize]>, visit: F) -> VnlResult<()>
+    where
+        F: FnMut(Row) -> VnlResult<()>,
+    {
+        self.read(span, || {
+            let scanner = self.batch_scanner(cols);
+            self.table
+                .scan_visible_inline(&scanner, self.session_vn, visit)
+        })
     }
 
     /// Build this session's batch scanner. `cols = None` decodes the full
@@ -416,7 +422,7 @@ impl<'t> ReaderSession<'t> {
                 table: self.table,
                 session_vn: self.session_vn,
                 scanner,
-                failure: Mutex::new(None),
+                failure: Cell::new(None),
             },
             exec_stmt,
         ))
@@ -480,7 +486,7 @@ struct SessionSource<'a> {
     /// The statement-specific scanner: pushed filters plus the columns
     /// the residual statement needs.
     scanner: BatchScanner,
-    failure: Mutex<Option<VnlError>>,
+    failure: Cell<Option<VnlError>>,
 }
 
 impl SessionSource<'_> {
@@ -490,13 +496,8 @@ impl SessionSource<'_> {
         match e {
             VnlError::Sql(sql) => sql,
             other => {
-                let mut slot = self
-                    .failure
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if slot.is_none() {
-                    *slot = Some(other);
-                }
+                let first = self.failure.take().unwrap_or(other);
+                self.failure.set(Some(first));
                 SqlError::Storage(wh_storage::StorageError::ScanAborted)
             }
         }
@@ -505,12 +506,7 @@ impl SessionSource<'_> {
     /// Resolve an executor result against the stash: the stashed
     /// [`VnlError`] wins (its paired `ScanAborted` was only the transport).
     fn settle(&self, res: SqlResult<QueryResult>) -> VnlResult<QueryResult> {
-        let stashed = self
-            .failure
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        match (res, stashed) {
+        match (res, self.failure.take()) {
             (_, Some(e)) => Err(e),
             (Err(e), None) => Err(VnlError::Sql(e)),
             (Ok(r), None) => Ok(r),
