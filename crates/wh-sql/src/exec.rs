@@ -150,10 +150,8 @@ pub fn execute_select_parallel(
         .iter_mut()
         .map(|part| move |row: Row| fold_ref.fold(part, row))
         .collect();
-    let mut visitors: Vec<&mut (dyn FnMut(Row) -> SqlResult<()> + Send)> = folds
-        .iter_mut()
-        .map(|f| f as &mut (dyn FnMut(Row) -> SqlResult<()> + Send))
-        .collect();
+    let mut visitors: Vec<&mut (dyn FnMut(Row) -> SqlResult<()> + Send)> =
+        folds.iter_mut().map(|f| f as _).collect();
     source.for_each(&mut visitors)?;
     wh_obs::histogram!("sql.exec.scan_fold_ns").record(timer.elapsed_ns());
     drop(span);
