@@ -33,8 +33,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use wh_bench::json::{self, Json};
 use wh_bench::{
-    all_schemes, best_ms, check_overhead, merge_prior_probes, mixed_run, print_table, sale_dates,
-    OverheadConfig,
+    all_schemes, best_ms, check_overhead, daily_sales_table, merge_prior_probes, mixed_run,
+    print_table, sale_dates, OverheadConfig,
 };
 use wh_sql::Params;
 use wh_types::Value;
@@ -281,7 +281,7 @@ fn main() {
         }
     );
 
-    let table = std::sync::Arc::new(cfg.build_table());
+    let table = std::sync::Arc::new(daily_sales_table(cfg.cities, cfg.lines, cfg.days));
 
     // Phase 1: the overhead-gate probes on the quiescent relation.
     let mut probes = overhead_probes(&table, &cfg);

@@ -295,7 +295,7 @@ fn main() {
         }
     );
 
-    let table = std::sync::Arc::new(cfg.build_table());
+    let table = std::sync::Arc::new(daily_sales_table(cfg.cities, cfg.lines, cfg.days));
 
     // Phase 1: the overhead-gate probes on the quiescent relation.
     let mut probes = overhead_probes(&table, &cfg);

@@ -256,11 +256,6 @@ impl OverheadConfig {
     pub fn rows(&self) -> usize {
         self.cities * self.lines * self.days
     }
-
-    /// The loaded DailySales relation of this shape.
-    pub fn build_table(&self) -> VnlTable {
-        daily_sales_table(self.cities, self.lines, self.days)
-    }
 }
 
 /// The first `days` sale dates: Oct 1–25, then Nov 1–25, 1996 (the paper's

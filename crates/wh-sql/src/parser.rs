@@ -727,6 +727,13 @@ mod tests {
     }
 
     #[test]
+    fn create_table_rejects_bad_definitions() {
+        assert!(parse_statement("CREATE TABLE t ()").is_err());
+        assert!(parse_statement("CREATE TABLE t (a WIBBLE)").is_err());
+        assert!(parse_statement("CREATE TABLE t (a CHAR(0))").is_err());
+    }
+
+    #[test]
     fn date_literals() {
         let e = parse_expression("DATE '1996-10-14'").unwrap();
         assert_eq!(e, Expr::lit(Date::ymd(1996, 10, 14)));

@@ -193,3 +193,39 @@ fn many_small_maintenance_rounds_only_two_versions_survive() {
     assert_eq!(s.scan().unwrap()[0][1], Value::from(50));
     s.finish();
 }
+
+#[test]
+fn maintenance_sql_insert_and_update_semantics() {
+    let schema = Schema::new(vec![
+        Column::updatable("a", DataType::Int64),
+        Column::updatable("b", DataType::Int64),
+    ])
+    .unwrap();
+    let t = VnlTable::create_named("T", schema, 2).unwrap();
+    let txn = t.begin_maintenance().unwrap();
+    // A column list fills the unnamed columns with NULL.
+    txn.execute_sql("INSERT INTO T (b) VALUES (7)", &Params::new())
+        .unwrap();
+    txn.execute_sql("INSERT INTO T VALUES (1, 2)", &Params::new())
+        .unwrap();
+    // VALUES are evaluated without a row: a column reference is an error.
+    assert!(matches!(
+        txn.execute_sql("INSERT INTO T VALUES (a, 1)", &Params::new()),
+        Err(VnlError::Sql(wh_sql::SqlError::NoSuchColumn(_)))
+    ));
+    // Every right-hand side sees the pre-update row: this swaps a and b.
+    txn.execute_sql("UPDATE T SET a = b, b = a WHERE a = 1", &Params::new())
+        .unwrap();
+    txn.commit().unwrap();
+    let s = t.begin_session();
+    let mut rows = s.scan().unwrap();
+    rows.sort_by_key(|r| r[1].as_int());
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::from(2), Value::from(1)],
+            vec![Value::Null, Value::from(7)],
+        ]
+    );
+    s.finish();
+}
